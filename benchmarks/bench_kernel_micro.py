@@ -1,44 +1,25 @@
 #!/usr/bin/env python
-"""Kernel microbenchmark: event throughput of the list vs packed clock path.
+"""Kernel microbenchmark: envelope interning on a live token ring.
 
-Measures, for a handful of large-cell shapes, how fast
-:class:`repro.trace.intervals.IntervalAnalysis` sweeps a computation —
-the hot loop every online detector pays before a single token moves:
+A token ring drives one message per hop through the live kernel with
+the ``Message`` constructor instrumented, once with the intern pool
+active and once disabled.  Each mode is one row: ``events`` is
+``messages_delivered`` and ``intervals`` counts envelope constructions —
+both deterministic, so the baseline pins them exactly.  The gate
+requires interning to eliminate at least 99% of envelope constructions
+(``--max-intern-fraction``).  Wall time for these rows is measured in a
+separate uninstrumented run so the counting wrapper's overhead never
+flatters the pool.
 
-* ``events_per_sec`` — total events swept per second of wall time
-  (min over ``--reps`` fresh constructions, bypassing the per-backend
-  analysis cache);
-* ``allocs_per_event`` — Python heap blocks allocated per event during
-  one construction (``sys.getallocatedblocks`` delta), the quantity the
-  packed backend exists to crush;
-* ``events`` / ``intervals`` — deterministic counted quantities used
-  for exact baseline comparison.
-
-The packed backend must beat the list backend by ``--min-speedup``
-(default 3x) on at least one measured shape, and never regress below
-the 2x sanity floor on any shape.  Shapes are chosen where the packed
-win is structural (many processes or long chains), not incidental:
-the O(E) wake-list sweep plus in-place ``array('q')`` merges removes
-both the heap-based topological sort and per-event tuple churn.
-
-A second section measures the kernel's *envelope interning*: a token
-ring drives one message per hop through the live kernel with the
-``Message`` constructor instrumented, once with the intern pool active
-and once disabled.  For the ``intern-*`` rows the columns are reused:
-``events`` is ``messages_delivered`` and ``intervals`` counts envelope
-constructions — both deterministic, so the baseline pins them exactly.
-The gate requires interning to eliminate at least 99% of envelope
-constructions (``--max-intern-fraction``).  Wall time for these rows is
-measured in a separate uninstrumented run so the counting wrapper's
-overhead never flatters the pool.
+Whole-run costs of trace ingest and interval analysis are measured by
+the end-to-end benchmark (``benchmarks/e2e/run.py``), not here.
 
 The committed baseline lives at
 ``benchmarks/baselines/micro/kernel_micro.json`` (a ``repro-bench/1``
 document; the ``micro/`` subdir keeps it out of the sweep-replay glob).
 CI runs ``--check`` against it: counted quantities must match exactly,
-wall-dependent columns are informational, and the speedup gate is
-re-measured fresh on the runner.  Re-record with ``--update`` after an
-intentional workload change.
+wall-dependent columns are informational.  Re-record with ``--update``
+after an intentional workload change.
 
 Usage::
 
@@ -57,7 +38,6 @@ from types import SimpleNamespace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.clocks.vector import CLOCK_BACKENDS  # noqa: E402
 from repro.obs.benchjson import (  # noqa: E402
     load_benchmark_json,
     structured_result,
@@ -66,14 +46,9 @@ from repro.simulation import kernel as kernel_mod  # noqa: E402
 from repro.simulation.actors import Actor  # noqa: E402
 from repro.simulation.effects import Message  # noqa: E402
 from repro.simulation.kernel import Kernel  # noqa: E402
-from repro.trace.generators import random_computation  # noqa: E402
-from repro.trace.intervals import IntervalAnalysis  # noqa: E402
 
-#: (num_processes, sends_per_process) — wide, square-ish, and deep cells.
-DEFAULT_SHAPES = ((128, 32), (256, 16), (8, 1024))
 #: (actors, hops) for the envelope-interning token ring.
 RING_SHAPE = (16, 20000)
-SEED = 3
 DEFAULT_REPS = 5
 DEFAULT_BASELINE = (
     pathlib.Path(__file__).resolve().parent
@@ -94,42 +69,6 @@ HEADERS = [
 ]
 #: columns compared exactly against the baseline (wall-independent).
 COUNTED = ("backend", "n", "m", "events", "intervals")
-
-
-def measure_shape(n: int, m: int, reps: int) -> list[dict]:
-    """One row per backend for an ``n x m`` random computation."""
-    comp = random_computation(n, m, seed=SEED, predicate_density=0.0)
-    events = comp.total_events()
-    rows = []
-    for backend in CLOCK_BACKENDS:
-        walls = []
-        for _ in range(reps):
-            gc.collect()
-            start = time.perf_counter()
-            analysis = IntervalAnalysis(comp, clock_backend=backend)
-            walls.append(time.perf_counter() - start)
-        intervals = sum(analysis.num_intervals(p) for p in range(n))
-        gc.collect()
-        blocks_before = sys.getallocatedblocks()
-        analysis = IntervalAnalysis(comp, clock_backend=backend)
-        blocks_after = sys.getallocatedblocks()
-        del analysis
-        wall = min(walls)
-        rows.append(
-            {
-                "backend": backend,
-                "n": n,
-                "m": m,
-                "events": events,
-                "intervals": intervals,
-                "wall_s": round(wall, 6),
-                "events_per_sec": round(events / wall, 1),
-                "allocs_per_event": round(
-                    (blocks_after - blocks_before) / events, 3
-                ),
-            }
-        )
-    return rows
 
 
 class _RingActor(Actor):
@@ -201,40 +140,11 @@ def measure_interning(reps: int) -> list[dict]:
     return rows
 
 
-def speedups(rows: list[dict]) -> dict[tuple[int, int], float]:
-    """Per-shape list-wall / packed-wall ratio."""
-    walls: dict[tuple[int, int], dict[str, float]] = {}
-    for row in rows:
-        walls.setdefault((row["n"], row["m"]), {})[row["backend"]] = row[
-            "wall_s"
-        ]
-    return {
-        shape: by_backend["list"] / by_backend["packed"]
-        for shape, by_backend in walls.items()
-        if "list" in by_backend and "packed" in by_backend
-    }
-
-
-def run(
-    shapes, reps: int, min_speedup: float, floor: float,
-    max_intern_fraction: float,
-) -> dict:
-    rows: list[dict] = []
-    for n, m in shapes:
-        shape_rows = measure_shape(n, m, reps)
-        rows.extend(shape_rows)
-        for row in shape_rows:
-            print(
-                f"n={row['n']:4d} m={row['m']:5d} {row['backend']:6s} "
-                f"wall={row['wall_s']:8.4f}s "
-                f"events/s={row['events_per_sec']:11.1f} "
-                f"allocs/event={row['allocs_per_event']:7.3f}"
-            )
-    intern_rows = measure_interning(reps)
-    rows.extend(intern_rows)
-    by_mode = {row["backend"]: row for row in intern_rows}
+def run(reps: int, max_intern_fraction: float) -> dict:
+    rows = measure_interning(reps)
+    by_mode = {row["backend"]: row for row in rows}
     on, off = by_mode["intern-on"], by_mode["intern-off"]
-    for row in intern_rows:
+    for row in rows:
         print(
             f"ring {row['backend']:10s} delivered={row['events']:6d} "
             f"constructions={row['intervals']:6d} wall={row['wall_s']:.4f}s "
@@ -253,30 +163,15 @@ def run(
         f"interning leaves {fraction:.2%} of envelope constructions; "
         f"gate is <= {max_intern_fraction:.0%}"
     )
-    ratios = speedups(rows)
-    for (n, m), ratio in ratios.items():
-        print(f"n={n:4d} m={m:5d} packed speedup: {ratio:.2f}x")
-    best = max(ratios.values())
-    worst = min(ratios.values())
     notes = [
-        f"best packed speedup {best:.2f}x (gate: >= {min_speedup:.1f}x)",
-        f"worst packed speedup {worst:.2f}x (floor: >= {floor:.1f}x)",
         "wall-dependent columns are informational; counted columns "
         "(events, intervals) are compared exactly against the baseline",
         "intern-* rows: events = messages delivered on the token ring, "
         "intervals = Message constructions (deterministic; the pool must "
         f"keep the on/off ratio <= {max_intern_fraction:.0%})",
     ]
-    assert best >= min_speedup, (
-        f"packed backend best speedup {best:.2f}x is below the "
-        f"{min_speedup:.1f}x gate"
-    )
-    assert worst >= floor, (
-        f"packed backend worst speedup {worst:.2f}x is below the "
-        f"{floor:.1f}x sanity floor"
-    )
     result = SimpleNamespace(
-        experiment="kernel-micro: interval-sweep throughput, list vs packed",
+        experiment="kernel-micro: envelope interning on a token ring",
         headers=HEADERS,
         rows=[[row[h] for h in HEADERS] for row in rows],
         fits={},
@@ -285,12 +180,8 @@ def run(
     return structured_result(
         result,
         params={
-            "shapes": [list(s) for s in shapes],
             "ring_shape": list(RING_SHAPE),
-            "seed": SEED,
             "reps": reps,
-            "min_speedup": min_speedup,
-            "floor": floor,
             "max_intern_fraction": max_intern_fraction,
         },
         wall_time_s=sum(row["wall_s"] for row in rows),
@@ -325,14 +216,7 @@ def check_against(doc: dict, baseline_path: pathlib.Path) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--shapes",
-        default=";".join(f"{n},{m}" for n, m in DEFAULT_SHAPES),
-        help="semicolon-separated n,m pairs",
-    )
     parser.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    parser.add_argument("--min-speedup", type=float, default=3.0)
-    parser.add_argument("--floor", type=float, default=2.0)
     parser.add_argument("--max-intern-fraction", type=float, default=0.01)
     parser.add_argument("--out", type=pathlib.Path, default=None)
     parser.add_argument(
@@ -348,14 +232,7 @@ def main() -> int:
         help=f"re-record the default baseline at {DEFAULT_BASELINE}",
     )
     args = parser.parse_args()
-    shapes = tuple(
-        tuple(int(v) for v in pair.split(","))
-        for pair in args.shapes.split(";")
-    )
-    doc = run(
-        shapes, args.reps, args.min_speedup, args.floor,
-        args.max_intern_fraction,
-    )
+    doc = run(args.reps, args.max_intern_fraction)
     if args.check is not None:
         check_against(doc, args.check)
     out = args.out

@@ -123,13 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
              "before suspicion escalates (default: one probe interval)",
     )
     det.add_argument(
-        "--clock-backend", choices=("list", "packed"), default="list",
-        help="vector-clock representation for snapshot extraction "
-             "(online detectors only): validated immutable clocks "
-             "(list, default) or the array('q') fast path (packed); "
-             "verdicts and paper units are identical either way",
-    )
-    det.add_argument(
         "--json", action="store_true",
         help="print the verdict, metrics totals and fault summary as "
              "JSON (machine-readable; suppresses the human output)",
@@ -184,11 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--faults", default=None, metavar="SPEC",
         help="inject faults (multiplexed/fault-capable detectors only); "
              "same SPEC grammar as 'repro detect --faults'",
-    )
-    svc.add_argument(
-        "--clock-backend", choices=("list", "packed"), default="list",
-        help="vector-clock representation for the shared snapshot "
-             "extraction (verdicts identical either way)",
     )
     svc.add_argument(
         "--trace-out", type=pathlib.Path, default=None, metavar="FILE",
@@ -324,10 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run every online cell under the streaming "
                           "protocol-invariant monitors; violation counts "
                           "fold into the per-cell paper units")
-    swp.add_argument("--clock-backends", default="list",
-                     help="comma-separated vector-clock backends (list "
-                          "and/or packed); multiplies online cells only "
-                          "(default: list)")
     swp.add_argument("--n-predicates", default="1",
                      help="comma-separated predicate counts, ranges "
                           "allowed; multiplies multiplexed-detector cells "
@@ -482,8 +466,6 @@ def _cmd_service(args: argparse.Namespace) -> int:
     comp = _load_trace(args.trace)
     entries = _load_predicates_file(args.predicates_file, comp.num_processes)
     options: dict = {"seed": args.seed}
-    if args.clock_backend != "list":
-        options["clock_backend"] = args.clock_backend
     if args.faults is not None:
         from repro.simulation.faults import FaultPlan
 
@@ -595,14 +577,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     wcp = WeakConjunctivePredicate.of_flags(pids, var=args.var)
     offline = args.detector in offline_detectors()
     options = {} if offline else {"seed": args.seed}
-    if args.clock_backend != "list":
-        if offline:
-            raise SystemExit(
-                "error: --clock-backend selects the snapshot-extraction "
-                "representation of a protocol simulation; it requires "
-                f"an online detector, not {args.detector!r}"
-            )
-        options["clock_backend"] = args.clock_backend
     tracer = None
     if args.trace_out is not None:
         if offline:
@@ -1027,9 +1001,6 @@ def _sweep_matrix_from_args(args: argparse.Namespace):
             ),
             gossip_timeouts=_parse_axis(
                 args.gossip_timeouts, "gossip-timeouts", _float_or_none
-            ),
-            clock_backends=_parse_axis(
-                args.clock_backends, "clock-backends", str
             ),
             n_predicates=_parse_axis(
                 args.n_predicates, "n-predicates", int

@@ -2,20 +2,10 @@
 
 from repro.clocks.dependence import Dependence, DependenceList
 from repro.clocks.lamport import IntervalCounter, LamportClock
-from repro.clocks.vector import (
-    CLOCK_BACKENDS,
-    PackedVectorClock,
-    VectorClock,
-    clock_class,
-    require_clock_backend,
-)
+from repro.clocks.vector import VectorClock
 
 __all__ = [
-    "CLOCK_BACKENDS",
     "VectorClock",
-    "PackedVectorClock",
-    "clock_class",
-    "require_clock_backend",
     "IntervalCounter",
     "LamportClock",
     "Dependence",

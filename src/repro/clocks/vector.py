@@ -12,42 +12,24 @@ correctness proofs rely on are:
 2. for a vector ``v`` taken on process ``P_i`` and any ``j != i``, the
    state ``(j, v[j])`` happened before ``(i, v[i])``.
 
-:class:`VectorClock` is an immutable value type.  Mutation-style
-operations (``tick``, ``merged``) return new instances, which keeps
-snapshots safe to share between simulated processes without copying
-discipline at every call site.
-
-:class:`PackedVectorClock` is the drop-in *packed* fast path: the same
-value semantics over an ``array('q')`` buffer, plus explicitly unsafe
-in-place mutators (``tick_in_place`` / ``merge_in_place``) for owners of
-a private working copy — the trace sweep in
-:mod:`repro.trace.intervals` mutates one owned buffer per process and
-freezes an immutable snapshot per interval, instead of allocating two
-validated clocks per communication event.  Which class a computation's
-causal analysis uses is selected by the ``clock_backend`` knob
-(``"list"`` | ``"packed"``) threaded through
-:func:`repro.detect.runner.run_detector`; both backends produce
-bit-identical clock values, cuts and paper units.
+:class:`VectorClock` is an immutable value type backed by a tuple.
+Mutation-style operations (``tick``, ``merged``) return new instances,
+which keeps snapshots safe to share between simulated processes without
+copying discipline at every call site.  It is the library's one clock
+representation: the interval sweep in :mod:`repro.trace.intervals`
+mutates a private working list per process and freezes one clock per
+interval with :meth:`VectorClock._trusted`, so no validated clock is
+allocated per tick or merge.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from repro.common.errors import ClockError, ConfigurationError
+from repro.common.errors import ClockError
 from repro.common.types import Pid
 
-__all__ = [
-    "CLOCK_BACKENDS",
-    "VectorClock",
-    "PackedVectorClock",
-    "clock_class",
-    "require_clock_backend",
-]
-
-#: The selectable causal-analysis backends (see module docstring).
-CLOCK_BACKENDS = ("list", "packed")
+__all__ = ["VectorClock"]
 
 # Interned identity projections: tuple(range(n)) per width.  Predicates
 # over all N processes project every snapshot with the same pid tuple,
@@ -108,8 +90,8 @@ class VectorClock:
     def _trusted(cls, comps: tuple[int, ...]) -> "VectorClock":
         """Wrap already-validated components without re-checking.
 
-        Internal fast path for :meth:`tick` / :meth:`merged`, whose
-        outputs are nonnegative by construction from validated inputs.
+        Internal fast path for :meth:`tick` / :meth:`merged` and the
+        interval sweep, whose outputs are nonnegative by construction.
         """
         clock = object.__new__(cls)
         clock._components = comps
@@ -236,226 +218,3 @@ class VectorClock:
     def _check_pid(self, pid: Pid) -> None:
         if not 0 <= pid < self.width:
             raise ClockError(f"pid {pid} out of range for width {self.width}")
-
-
-class PackedVectorClock:
-    """A vector clock packed into a contiguous ``array('q')`` buffer.
-
-    Value-semantics drop-in for :class:`VectorClock`: every query and
-    every copying operation (``tick``, ``merged``, comparisons,
-    ``project``) produces bit-identical results.  What the packing buys:
-
-    * one machine-word C buffer instead of a tuple of boxed ints;
-    * ``tick_in_place`` / ``merge_in_place`` for owners of a private
-      working copy — O(1) ticks and single-pass merges with **zero**
-      allocation, where the immutable path allocates and re-validates a
-      clock per communication event;
-    * ``snapshot()`` freezes the working copy via a C-level buffer copy;
-    * O(n) comparisons that never materialize intermediate tuples.
-
-    The in-place mutators are deliberately *not* part of the
-    :class:`VectorClock` interface: call them only on clocks you own
-    exclusively (see :mod:`repro.trace.intervals` for the idiom).
-    """
-
-    __slots__ = ("_buf",)
-
-    def __init__(self, components: Sequence[int] | Iterable[int]) -> None:
-        buf = array("q", (int(c) for c in components))
-        if not buf:
-            raise ClockError("vector clock must have at least one component")
-        for c in buf:
-            if c < 0:
-                raise ClockError(
-                    f"vector clock components must be >= 0, got {tuple(buf)}"
-                )
-        self._buf = buf
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def initial(cls, owner: Pid, width: int) -> "PackedVectorClock":
-        """The paper's initial clock on process ``owner``: ``v[owner]=1``."""
-        if not 0 <= owner < width:
-            raise ClockError(f"owner {owner} out of range for width {width}")
-        buf = array("q", bytes(8 * width))
-        buf[owner] = 1
-        return cls._trusted(buf)
-
-    @classmethod
-    def zero(cls, width: int) -> "PackedVectorClock":
-        """An all-zero clock of the given width (pre-initial sentinel)."""
-        if width <= 0:
-            raise ClockError(f"width must be positive, got {width}")
-        return cls._trusted(array("q", bytes(8 * width)))
-
-    @classmethod
-    def _trusted(cls, buf: array) -> "PackedVectorClock":
-        """Adopt an already-validated buffer without copying."""
-        clock = object.__new__(cls)
-        clock._buf = buf
-        return clock
-
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
-    @property
-    def width(self) -> int:
-        """Number of components (the paper's ``n``)."""
-        return len(self._buf)
-
-    @property
-    def components(self) -> tuple[int, ...]:
-        """The components as an immutable tuple."""
-        return tuple(self._buf)
-
-    def __getitem__(self, pid: Pid) -> int:
-        return self._buf[pid]
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-    # ------------------------------------------------------------------
-    # Clock operations (copying — VectorClock-compatible)
-    # ------------------------------------------------------------------
-    def tick(self, owner: Pid) -> "PackedVectorClock":
-        """Return a copy with ``owner``'s component incremented by one."""
-        self._check_pid(owner)
-        buf = array("q", self._buf)
-        buf[owner] += 1
-        return PackedVectorClock._trusted(buf)
-
-    def merged(self, other: "PackedVectorClock") -> "PackedVectorClock":
-        """Componentwise maximum with ``other`` (the receive-merge step)."""
-        self._check_width(other)
-        buf = array("q", self._buf)
-        for k, v in enumerate(other._buf):
-            if v > buf[k]:
-                buf[k] = v
-        return PackedVectorClock._trusted(buf)
-
-    # ------------------------------------------------------------------
-    # Clock operations (in place — owned working copies only)
-    # ------------------------------------------------------------------
-    def tick_in_place(self, owner: Pid) -> None:
-        """``vclock[owner]++`` on an exclusively-owned working copy."""
-        self._buf[owner] += 1
-
-    def merge_in_place(self, other: "PackedVectorClock") -> None:
-        """Absorb ``other`` (componentwise max) into an owned copy."""
-        buf = self._buf
-        for k, v in enumerate(other._buf):
-            if v > buf[k]:
-                buf[k] = v
-
-    def snapshot(self) -> "PackedVectorClock":
-        """An immutable-by-convention frozen copy of the current value."""
-        return PackedVectorClock._trusted(array("q", self._buf))
-
-    # ------------------------------------------------------------------
-    # Causal comparison
-    # ------------------------------------------------------------------
-    def __le__(self, other: "PackedVectorClock") -> bool:
-        self._check_width(other)
-        for a, b in zip(self._buf, other._buf):
-            if a > b:
-                return False
-        return True
-
-    def __lt__(self, other: "PackedVectorClock") -> bool:
-        """Strict causal precedence: ``self <= other`` and ``self != other``."""
-        self._check_width(other)
-        strict = False
-        for a, b in zip(self._buf, other._buf):
-            if a > b:
-                return False
-            if a < b:
-                strict = True
-        return strict
-
-    def __ge__(self, other: "PackedVectorClock") -> bool:
-        self._check_width(other)
-        return other <= self
-
-    def __gt__(self, other: "PackedVectorClock") -> bool:
-        self._check_width(other)
-        return other < self
-
-    def concurrent_with(self, other: "PackedVectorClock") -> bool:
-        """True iff neither clock causally precedes the other (``||``)."""
-        return not self < other and not other < self and self != other
-
-    def happened_before(self, other: "PackedVectorClock") -> bool:
-        """Property 1 from the paper: ``alpha -> beta`` iff ``alpha.v < beta.v``."""
-        return self < other
-
-    # ------------------------------------------------------------------
-    # Value semantics
-    # ------------------------------------------------------------------
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedVectorClock):
-            return NotImplemented
-        return self._buf == other._buf
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._buf))
-
-    def __repr__(self) -> str:
-        return f"PackedVectorClock({list(self._buf)!r})"
-
-    # ------------------------------------------------------------------
-    # Projection
-    # ------------------------------------------------------------------
-    def project(self, pids: Sequence[Pid]) -> tuple[int, ...]:
-        """The components restricted to ``pids``, in order, as a tuple.
-
-        The full-width identity projection converts the whole buffer at
-        C speed instead of indexing element by element.
-        """
-        buf = self._buf
-        if tuple(pids) == _iota(len(buf)):
-            return tuple(buf)
-        return tuple(buf[p] for p in pids)
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    def size_words(self) -> int:
-        """Message-size accounting: one machine word per component."""
-        return len(self._buf)
-
-    # ------------------------------------------------------------------
-    # Internal checks
-    # ------------------------------------------------------------------
-    def _check_width(self, other: "PackedVectorClock") -> None:
-        if not isinstance(other, PackedVectorClock):
-            raise ClockError(
-                f"expected PackedVectorClock, got {type(other).__name__}"
-            )
-        if other.width != self.width:
-            raise ClockError(
-                f"vector clock width mismatch: {self.width} vs {other.width}"
-            )
-
-    def _check_pid(self, pid: Pid) -> None:
-        if not 0 <= pid < self.width:
-            raise ClockError(f"pid {pid} out of range for width {self.width}")
-
-
-def require_clock_backend(backend: str) -> str:
-    """Validate and return a ``clock_backend`` knob value."""
-    if backend not in CLOCK_BACKENDS:
-        raise ConfigurationError(
-            f"clock_backend must be one of {CLOCK_BACKENDS}, got {backend!r}"
-        )
-    return backend
-
-
-def clock_class(backend: str) -> type[VectorClock] | type[PackedVectorClock]:
-    """The clock implementation class for a backend name."""
-    require_clock_backend(backend)
-    return PackedVectorClock if backend == "packed" else VectorClock

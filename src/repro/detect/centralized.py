@@ -128,19 +128,15 @@ def detect(
     channel_model: ChannelModel | None = None,
     spacing: float = 1.0,
     observers: list | None = None,
-    clock_backend: str = "list",
 ) -> DetectionReport:
-    """Run the centralized checker on a recorded computation.
-
-    ``clock_backend`` behaves as in :func:`repro.detect.token_vc.detect`.
-    """
+    """Run the centralized checker on a recorded computation."""
     wcp.check_against(computation.num_processes)
     pids = wcp.pids
     n = wcp.n
     kernel = Kernel(channel_model=channel_model, seed=seed, observers=observers)
     checker = CheckerActor(n)
     kernel.add_actor(checker)
-    streams = vc_snapshots(computation, wcp.predicate_map(), clock_backend)
+    streams = vc_snapshots(computation, wcp.predicate_map())
     for slot, pid in enumerate(pids):
         items = [
             FeedItem(

@@ -116,7 +116,6 @@ def snapshot_bits(snapshot: DDSnapshot) -> int:
 def dd_feed_items(
     computation: Computation,
     predicates,
-    clock_backend: str = "list",
 ) -> dict[int, list[FeedItem]]:
     """The §4.1 snapshot streams as feeder-ready items, one per process.
 
@@ -126,7 +125,7 @@ def dd_feed_items(
     interval stream; all ``N`` processes participate (§4's requirement),
     with the constant-true predicate where none is registered.
     """
-    streams = dd_snapshots(computation, dict(predicates), clock_backend)
+    streams = dd_snapshots(computation, dict(predicates))
     return {
         pid: [
             FeedItem(payload=snap, size_bits=snapshot_bits(snap), time=snap.time)
@@ -486,14 +485,13 @@ def detect(
     hardened: bool | None = None,
     retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
     failure_detector: FailureDetectorConfig | None = None,
-    clock_backend: str = "list",
 ) -> DetectionReport:
     """Run the §4 algorithm on a recorded computation.
 
     Every one of the ``N`` processes gets a feeder and a monitor; the
     detected full cut is projected onto the WCP's pids for the report.
-    ``faults`` / ``hardened`` / ``retry`` / ``failure_detector`` /
-    ``clock_backend`` behave as in :func:`repro.detect.token_vc.detect`.
+    ``faults`` / ``hardened`` / ``retry`` / ``failure_detector`` behave
+    as in :func:`repro.detect.token_vc.detect`.
     """
     wcp.check_against(computation.num_processes)
     big_n = computation.num_processes
@@ -509,7 +507,7 @@ def detect(
     )
     for mon in monitors:
         kernel.add_actor(mon)
-    items_by_pid = dd_feed_items(computation, wcp.predicate_map(), clock_backend)
+    items_by_pid = dd_feed_items(computation, wcp.predicate_map())
     feeders = []
     for pid in range(big_n):
         items = items_by_pid[pid]

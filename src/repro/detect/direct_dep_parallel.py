@@ -327,13 +327,11 @@ def detect(
     hardened: bool | None = None,
     retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
     failure_detector: FailureDetectorConfig | None = None,
-    clock_backend: str = "list",
 ) -> DetectionReport:
     """Run the §4.5 parallel direct-dependence algorithm.
 
-    ``faults`` / ``hardened`` / ``retry`` / ``failure_detector`` /
-    ``clock_backend`` behave as in
-    :func:`repro.detect.token_vc.detect`; the hardened variant is
+    ``faults`` / ``hardened`` / ``retry`` / ``failure_detector`` behave
+    as in :func:`repro.detect.token_vc.detect`; the hardened variant is
     :class:`HardenedParallelDDMonitor` (see :class:`ParallelDDGlue` for
     why hardened runs serialise the §4.5 search).
     """
@@ -362,7 +360,7 @@ def detect(
     ]
     for mon in monitors:
         kernel.add_actor(mon)
-    items_by_pid = dd_feed_items(computation, wcp.predicate_map(), clock_backend)
+    items_by_pid = dd_feed_items(computation, wcp.predicate_map())
     feeders = []
     for pid in range(big_n):
         items = items_by_pid[pid]

@@ -138,10 +138,8 @@ def run_detector(
     **options: object,
 ) -> DetectionReport:
     """Run detector ``name``; online detectors accept ``seed``,
-    ``channel_model``, ``spacing``, ``clock_backend`` (``"list"`` |
-    ``"packed"`` — the vector-clock representation; identical verdicts
-    and units, packed is faster on large cells) and algorithm-specific
-    options.  Detectors in :data:`FAULT_CAPABLE` additionally accept ``faults``
+    ``channel_model``, ``spacing`` and algorithm-specific options.
+    Detectors in :data:`FAULT_CAPABLE` additionally accept ``faults``
     (a :class:`~repro.simulation.faults.FaultPlan`), ``hardened``,
     ``retry`` and ``failure_detector`` (a
     :class:`~repro.detect.stack.FailureDetectorConfig` enabling

@@ -580,7 +580,6 @@ class SharedCausalityDispatcher:
         observers: list | None = None,
         faults: "FaultPlan | None" = None,
         retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
-        clock_backend: str = "list",
         **detector_options: object,
     ) -> None:
         registry.check_against(computation.num_processes)
@@ -605,7 +604,6 @@ class SharedCausalityDispatcher:
         self._observers = observers
         self._faults = faults
         self._retry = retry
-        self._clock_backend = clock_backend
         self._detector_options = dict(detector_options)
 
     # ------------------------------------------------------------------
@@ -657,9 +655,7 @@ class SharedCausalityDispatcher:
         for mon in monitors:
             kernel.add_actor(mon)
         # One shared feeder stream per union pid, union-projected.
-        items_by_pid = candidate_feed_items(
-            comp, self._predicate_map, upids, self._clock_backend
-        )
+        items_by_pid = candidate_feed_items(comp, self._predicate_map, upids)
         feeders = [
             ReliableFeeder(
                 app_name(pid), monitor_name(pid), items_by_pid[pid],
@@ -749,7 +745,6 @@ class SharedCausalityDispatcher:
         if self._detector not in _OFFLINE:
             options.setdefault("seed", self._seed)
             options.setdefault("spacing", self._spacing)
-            options.setdefault("clock_backend", self._clock_backend)
             if self._channel_model is not None:
                 options.setdefault("channel_model", self._channel_model)
             if self._observers is not None:

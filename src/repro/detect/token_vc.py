@@ -87,7 +87,6 @@ def candidate_feed_items(
     computation: Computation,
     predicates,
     pids: tuple[int, ...],
-    clock_backend: str = "list",
 ) -> dict[int, list[FeedItem]]:
     """The Fig. 2 candidate streams as feeder-ready items, one per pid.
 
@@ -99,7 +98,7 @@ def candidate_feed_items(
     only on ``(computation, pid, clause)``, so every consumer of the
     same clause sees the identical stream.
     """
-    streams = vc_snapshots(computation, dict(predicates), clock_backend)
+    streams = vc_snapshots(computation, dict(predicates))
     width = len(pids)
     return {
         pid: [
@@ -406,7 +405,6 @@ def detect(
     hardened: bool | None = None,
     retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
     failure_detector: FailureDetectorConfig | None = None,
-    clock_backend: str = "list",
 ) -> DetectionReport:
     """Run the §3 algorithm on a recorded computation.
 
@@ -424,10 +422,6 @@ def detect(
     defaults to the RTT-adaptive policy; ``failure_detector`` enables
     heartbeat failure detection with token takeover (self-healing
     against *permanent* monitor death — see ``docs/faults.md``).
-    ``clock_backend`` selects the vector-clock representation used to
-    extract snapshot streams (``"list"`` or ``"packed"``); verdicts and
-    paper units are bit-identical either way, ``"packed"`` is just
-    faster on large cells.
     """
     wcp.check_against(computation.num_processes)
     pids = wcp.pids
@@ -454,9 +448,7 @@ def detect(
         ]
     for mon in monitors:
         kernel.add_actor(mon)
-    items_by_pid = candidate_feed_items(
-        computation, wcp.predicate_map(), pids, clock_backend
-    )
+    items_by_pid = candidate_feed_items(computation, wcp.predicate_map(), pids)
     feeders = []
     for pid in pids:
         items = items_by_pid[pid]

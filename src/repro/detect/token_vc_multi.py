@@ -493,12 +493,11 @@ def detect(
     hardened: bool | None = None,
     retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
     failure_detector: FailureDetectorConfig | None = None,
-    clock_backend: str = "list",
 ) -> DetectionReport:
     """Run the §3.5 multi-token algorithm with ``groups`` tokens.
 
-    ``faults`` / ``hardened`` / ``retry`` / ``failure_detector`` /
-    ``clock_backend`` behave as in :func:`repro.detect.token_vc.detect`.
+    ``faults`` / ``hardened`` / ``retry`` / ``failure_detector`` behave
+    as in :func:`repro.detect.token_vc.detect`.
     """
     wcp.check_against(computation.num_processes)
     pids = wcp.pids
@@ -532,9 +531,7 @@ def detect(
     for mon in monitors:
         kernel.add_actor(mon)
     kernel.add_actor(leader)
-    items_by_pid = candidate_feed_items(
-        computation, wcp.predicate_map(), pids, clock_backend
-    )
+    items_by_pid = candidate_feed_items(computation, wcp.predicate_map(), pids)
     feeders = []
     for pid in pids:
         items = items_by_pid[pid]

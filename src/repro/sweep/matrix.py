@@ -21,7 +21,6 @@ import pathlib
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
-from repro.clocks.vector import CLOCK_BACKENDS
 from repro.common.errors import ConfigurationError
 from repro.common.validation import require
 from repro.detect.runner import DETECTORS, FAULT_CAPABLE, online_detectors
@@ -49,7 +48,6 @@ EXCLUDE_KEYS = frozenset(
         "gossip_fanout",
         "gossip_interval",
         "gossip_timeout",
-        "clock_backend",
         "n_predicates",
     }
 )
@@ -79,7 +77,6 @@ class SweepCell:
     gossip_interval: float | None = None
     gossip_timeout: float | None = None
     check_invariants: bool = False
-    clock_backend: str = "list"
     n_predicates: int = 1
 
     def __post_init__(self) -> None:
@@ -136,18 +133,6 @@ class SweepCell:
                 "membership='gossip' requires self_heal (the failure "
                 "detector is the layer being selected)",
             )
-        require(
-            self.clock_backend in CLOCK_BACKENDS,
-            f"clock_backend must be one of {CLOCK_BACKENDS}, "
-            f"got {self.clock_backend!r}",
-        )
-        if self.clock_backend != "list":
-            require(
-                self.detector in online_detectors(),
-                f"detector {self.detector!r} is offline (analysis-only); "
-                f"clock_backend={self.clock_backend!r} requires one of "
-                f"{sorted(online_detectors())}",
-            )
         require(self.n_predicates >= 1, "n_predicates must be >= 1")
         if self.n_predicates > 1:
             require(
@@ -195,16 +180,13 @@ class SweepCell:
         if self.gossip_timeout is not None:
             gossip += f"/gt{self.gossip_timeout:g}"
         inv = "/inv" if self.check_invariants else ""
-        # The default list backend contributes no suffix, so committed
-        # baseline group names predate the knob and replay unchanged.
-        packed = "/packed" if self.clock_backend == "packed" else ""
         # The single-predicate default contributes no suffix, so every
         # baseline committed before the service axis replays unchanged.
         preds = f"/p{self.n_predicates}" if self.n_predicates > 1 else ""
         return (
             f"{self.detector}/n{self.num_processes}/m{self.sends_per_process}"
             f"/{self.pattern}/d{_fmt_density(self.predicate_density)}"
-            f"/w{width}/f{faults}{heal}{gossip}{inv}{packed}{preds}"
+            f"/w{width}/f{faults}{heal}{gossip}{inv}{preds}"
         )
 
     @property
@@ -274,7 +256,6 @@ class SweepCell:
             "gossip_interval": self.gossip_interval,
             "gossip_timeout": self.gossip_timeout,
             "check_invariants": self.check_invariants,
-            "clock_backend": self.clock_backend,
             "n_predicates": self.n_predicates,
         }
 
@@ -315,7 +296,6 @@ class SweepMatrix:
     gossip_intervals: tuple[float | None, ...] = (None,)
     gossip_timeouts: tuple[float | None, ...] = (None,)
     check_invariants: bool = False
-    clock_backends: tuple[str, ...] = ("list",)
     n_predicates: tuple[int, ...] = (1,)
     exclude: tuple[Mapping[str, Any], ...] = ()
 
@@ -349,7 +329,6 @@ class SweepMatrix:
             "gossip_fanouts",
             "gossip_intervals",
             "gossip_timeouts",
-            "clock_backends",
             "n_predicates",
         ):
             object.__setattr__(
@@ -391,12 +370,6 @@ class SweepMatrix:
             "membership axis includes 'gossip' but self_heal is false; "
             "gossip cells need the failure detector enabled",
         )
-        bad_backends = sorted(set(self.clock_backends) - set(CLOCK_BACKENDS))
-        require(
-            not bad_backends,
-            f"unknown clock backends {bad_backends}; "
-            f"expected a subset of {CLOCK_BACKENDS}",
-        )
         require(
             all(p >= 1 for p in self.n_predicates),
             "n_predicates entries must be >= 1",
@@ -433,18 +406,6 @@ class SweepMatrix:
             else:
                 variants.append(("heartbeat", 3, None, None))
         return tuple(variants)
-
-    def _backend_variants(self, detector: str) -> tuple[str, ...]:
-        """The clock backends one detector expands over.
-
-        Offline detectors analyze the trace directly (no snapshot
-        extraction), so the backend axis collapses to the list default
-        for them — mirroring how fault specs only pair with
-        fault-capable detectors.
-        """
-        if detector not in online_detectors():
-            return ("list",)
-        return self.clock_backends
 
     def _predicate_variants(self, detector: str) -> tuple[int, ...]:
         """The predicate counts one detector expands over.
@@ -492,7 +453,6 @@ class SweepMatrix:
                 * len(self.seeds)
                 * fault_variants
                 * len(self._membership_variants(detector))
-                * len(self._backend_variants(detector))
                 * len(self._predicate_variants(detector))
             )
         return count
@@ -512,7 +472,6 @@ class SweepMatrix:
                 self.pred_widths,
                 fault_specs,
                 self._membership_variants(detector),
-                self._backend_variants(detector),
                 self._predicate_variants(detector),
                 self.seeds,
             )
@@ -524,7 +483,6 @@ class SweepMatrix:
                 width,
                 spec,
                 mem,
-                backend,
                 preds,
                 seed,
             ) in points:
@@ -554,7 +512,6 @@ class SweepMatrix:
                         self.check_invariants
                         and detector in online_detectors()
                     ),
-                    clock_backend=backend,
                     n_predicates=preds,
                 )
                 if not self._excluded(cell):
@@ -581,7 +538,6 @@ class SweepMatrix:
             "gossip_intervals": list(self.gossip_intervals),
             "gossip_timeouts": list(self.gossip_timeouts),
             "check_invariants": self.check_invariants,
-            "clock_backends": list(self.clock_backends),
             "n_predicates": list(self.n_predicates),
             "exclude": [dict(entry) for entry in self.exclude],
         }
@@ -611,7 +567,6 @@ class SweepMatrix:
             "gossip_intervals",
             "gossip_timeouts",
             "check_invariants",
-            "clock_backends",
             "n_predicates",
             "exclude",
         }
@@ -642,7 +597,6 @@ class SweepMatrix:
             "gossip_fanouts",
             "gossip_intervals",
             "gossip_timeouts",
-            "clock_backends",
             "n_predicates",
             "exclude",
         ):

@@ -98,8 +98,6 @@ def run_cell(
     online = cell.detector not in offline_detectors()
     if online:
         options["seed"] = cell.seed
-        if cell.clock_backend != "list":
-            options["clock_backend"] = cell.clock_backend
     if cell.faults is not None:
         options["faults"] = FaultPlan.parse(cell.faults)
     if cell.self_heal and cell.faults is not None:

@@ -7,7 +7,9 @@ cross-process validation that individual events cannot:
   consistent sender/receiver endpoints;
 * every message is received at most once (lost messages are forbidden by
   the model of §2, so by default every message must be received);
-* the induced happened-before relation is acyclic (no causal paradoxes);
+* the induced happened-before relation is acyclic (no causal paradoxes),
+  checked by the same ``O(E)`` wake-list scheduler
+  (:meth:`Computation.causal_runs`) that later builds vector clocks;
 * optional event timestamps respect causality (a receive is never
   timestamped before its send).
 
@@ -18,7 +20,6 @@ caches the raw structure plus the message index.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -68,22 +69,15 @@ class Computation:
         self._check_acyclic()
         self._check_times()
         self._local_states: tuple[tuple[Mapping[str, object], ...], ...] | None = None
-        self._analysis: dict[str, object] = {}
+        self._analysis = None
 
-    def analysis(self, clock_backend: str = "list"):
-        """The lazily computed, cached :class:`IntervalAnalysis` of this run.
-
-        One analysis is cached per ``clock_backend`` (``"list"`` or
-        ``"packed"``); both produce bit-identical interval structure and
-        differ only in vector-clock representation.
-        """
-        cached = self._analysis.get(clock_backend)
-        if cached is None:
+    def analysis(self):
+        """The lazily computed, cached :class:`IntervalAnalysis` of this run."""
+        if self._analysis is None:
             from repro.trace.intervals import IntervalAnalysis
 
-            cached = IntervalAnalysis(self, clock_backend=clock_backend)
-            self._analysis[clock_backend] = cached
-        return cached
+            self._analysis = IntervalAnalysis(self)
+        return self._analysis
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -213,44 +207,9 @@ class Computation:
         return messages
 
     def _check_acyclic(self) -> None:
-        """Kahn's algorithm over process-order + message edges."""
-        # Node key: (pid, event_index).  Edges: (pid,k) -> (pid,k+1) and
-        # send -> recv for each message.
-        indegree: dict[tuple[int, int], int] = {}
-        successors: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-        def add_edge(a: tuple[int, int], b: tuple[int, int]) -> None:
-            successors.setdefault(a, []).append(b)
-            indegree[b] = indegree.get(b, 0) + 1
-            indegree.setdefault(a, indegree.get(a, 0))
-
-        total = 0
-        for pid, trace in enumerate(self._processes):
-            total += len(trace.events)
-            for idx in range(len(trace.events)):
-                indegree.setdefault((pid, idx), 0)
-                if idx + 1 < len(trace.events):
-                    add_edge((pid, idx), (pid, idx + 1))
-        for record in self._messages.values():
-            add_edge(
-                (record.sender, record.send_index),
-                (record.receiver, record.recv_index),
-            )
-
-        ready = deque(node for node, deg in indegree.items() if deg == 0)
-        visited = 0
-        while ready:
-            node = ready.popleft()
-            visited += 1
-            for succ in successors.get(node, ()):
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    ready.append(succ)
-        if visited != total:
-            raise InvalidComputationError(
-                "computation contains a causal cycle (a message is received "
-                "before, in happened-before order, it was sent)"
-            )
+        """Drive :meth:`causal_runs` to the end; it raises on a cycle."""
+        for _run in self.causal_runs():
+            pass
 
     def _check_times(self) -> None:
         for record in self._messages.values():
@@ -279,6 +238,53 @@ class Computation:
         for pid, trace in enumerate(self._processes):
             for idx, event in enumerate(trace.events):
                 yield pid, idx, event
+
+    def causal_runs(self) -> Iterator[tuple[Pid, int, int]]:
+        """Runs ``(pid, start, stop)`` of events in happened-before order.
+
+        The wake-list scheduler: each process runs forward until it
+        reaches a receive whose send has not run; that send wakes it.
+        Every event of a yielded run may execute once all earlier runs
+        have, so a consumer that processes runs in the order yielded
+        sees every send before its receive.  ``O(E)`` total work.
+
+        Raises :class:`InvalidComputationError` after the last run if a
+        process is still blocked: the trace is acyclic if and only if
+        every process reaches its end.
+        """
+        send_kind, recv_kind = EventKind.SEND, EventKind.RECV
+        events = [trace.events for trace in self._processes]
+        sent: set[int] = set()
+        # Message id -> the pid parked at the receive of that message.
+        blocked_on: dict[int, Pid] = {}
+        position = [0] * len(events)
+        ready = list(range(len(events)))
+        while ready:
+            pid = ready.pop()
+            events_p = events[pid]
+            start = i = position[pid]
+            count = len(events_p)
+            while i < count:
+                event = events_p[i]
+                kind = event.kind
+                if kind is send_kind:
+                    msg_id = event.msg_id
+                    sent.add(msg_id)
+                    waiter = blocked_on.pop(msg_id, None)
+                    if waiter is not None:
+                        ready.append(waiter)
+                elif kind is recv_kind and event.msg_id not in sent:
+                    blocked_on[event.msg_id] = pid
+                    break
+                i += 1
+            position[pid] = i
+            if i > start:
+                yield pid, start, i
+        if blocked_on:
+            raise InvalidComputationError(
+                "computation contains a causal cycle (a message is received "
+                "before, in happened-before order, it was sent)"
+            )
 
     def topological_order(self) -> list[tuple[Pid, int]]:
         """One linearization of the happened-before relation over events.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from math import isfinite
 from types import MappingProxyType
 from typing import Mapping
 
@@ -43,6 +44,22 @@ class EventKind(enum.Enum):
     def is_communication(self) -> bool:
         """True for SEND/RECV — the events that end a communication interval."""
         return self is not EventKind.INTERNAL
+
+
+#: The ``updates`` of every event that assigns no variable.
+_NO_UPDATES: Mapping[str, object] = MappingProxyType({})
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and isfinite(value)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,24 +91,46 @@ class Event:
     time: float | None = None
 
     def __post_init__(self) -> None:
+        msg_id, peer, time = self.msg_id, self.peer, self.time
         if self.kind is EventKind.INTERNAL:
-            if self.msg_id is not None or self.peer is not None:
+            if msg_id is not None or peer is not None:
                 raise InvalidComputationError(
                     "internal events must not carry msg_id or peer"
                 )
         else:
-            if self.msg_id is None or self.peer is None:
+            if msg_id is None or peer is None:
                 raise InvalidComputationError(
                     f"{self.kind.value} events require msg_id and peer"
                 )
-            if self.msg_id < 0:
+            # ``type(...) is int`` is the fast path; the helper admits
+            # int subclasses other than bool.
+            if type(msg_id) is not int and not _is_int(msg_id):
                 raise InvalidComputationError(
-                    f"msg_id must be >= 0, got {self.msg_id}"
+                    f"msg_id must be an int, got {msg_id!r}"
                 )
-            if self.peer < 0:
-                raise InvalidComputationError(f"peer must be >= 0, got {self.peer}")
-        # Freeze the updates mapping so the dataclass is deeply immutable.
-        object.__setattr__(self, "updates", MappingProxyType(dict(self.updates)))
+            if type(peer) is not int and not _is_int(peer):
+                raise InvalidComputationError(f"peer must be an int, got {peer!r}")
+            if msg_id < 0:
+                raise InvalidComputationError(f"msg_id must be >= 0, got {msg_id}")
+            if peer < 0:
+                raise InvalidComputationError(f"peer must be >= 0, got {peer}")
+        # NaN or an infinity would slip past every ordering check on times.
+        if time is not None and not (
+            isfinite(time) if type(time) is float else _is_finite_number(time)
+        ):
+            raise InvalidComputationError(
+                f"time must be a finite number, got {time!r}"
+            )
+        # Freeze the updates mapping so the dataclass is deeply immutable;
+        # every event without updates shares one read-only empty mapping.
+        updates = self.updates
+        if type(updates) is dict and not updates:
+            frozen = _NO_UPDATES
+        else:
+            frozen = MappingProxyType(dict(updates))
+            if not frozen:
+                frozen = _NO_UPDATES
+        object.__setattr__(self, "updates", frozen)
 
     # Convenience constructors -----------------------------------------
     @classmethod

@@ -17,28 +17,30 @@ For a process with events ``e_0 .. e_{T-1}`` the local states are
   sender's tag;
 * every interval contains at least one local state.
 
-:class:`IntervalAnalysis` computes, in one topological sweep:
+:class:`IntervalAnalysis` computes eagerly, in one pass per process and
+without any causal ordering:
 
 * the interval index of every local state,
-* the full-width (N-component) vector clock of every interval,
-* the scalar interval tag carried by every message (§4.1 counters),
-* the direct dependences recorded at every receive (§4.1),
+* the scalar interval tag carried by every message (§4.1 counters) —
+  the interval its send closes,
+* the direct dependence ``(sender, tag)`` recorded at every receive
+  (§4.1).
 
-and answers happened-before queries between interval states using the
-paper's vector-clock properties.
+That is all the §4 detectors read.  The full-width (N-component) vector
+clock of every interval is built only on the first :meth:`vector`,
+:meth:`projected_vector` or :meth:`happened_before` call, by one sweep in
+the wake-list order of :meth:`Computation.causal_runs`; happened-before
+queries between interval states then use the paper's vector-clock
+properties.
 """
 
 from __future__ import annotations
 
-from array import array
+import bisect
 from typing import Sequence
 
 from repro.clocks.dependence import Dependence
-from repro.clocks.vector import (
-    PackedVectorClock,
-    VectorClock,
-    require_clock_backend,
-)
+from repro.clocks.vector import VectorClock
 from repro.common.errors import CutError
 from repro.common.types import Pid, StateRef
 from repro.trace.computation import Computation
@@ -50,174 +52,91 @@ __all__ = ["IntervalAnalysis"]
 class IntervalAnalysis:
     """Cached per-interval causal structure of a :class:`Computation`.
 
-    Construction is ``O(E * N)`` where ``E`` is the total event count.
-    Prefer :meth:`Computation.analysis` (lazily cached) over constructing
-    this directly when repeated queries are needed.
-
-    ``clock_backend`` selects the vector-clock representation the sweep
-    builds: ``"list"`` (the default, immutable
-    :class:`~repro.clocks.vector.VectorClock` per interval) or
-    ``"packed"`` (:class:`~repro.clocks.vector.PackedVectorClock` over
-    one in-place ``array('q')`` working buffer per process).  The two
-    backends produce bit-identical interval vectors, send tags and
-    dependences; packed construction allocates O(1) objects per
-    communication event instead of O(1) validated clocks per tick *and*
-    merge, which is what makes n >= 256 cells tractable.
+    Construction is ``O(E)`` where ``E`` is the total event count; the
+    vector clocks cost ``O(E * N)`` more, paid on first read.  Prefer
+    :meth:`Computation.analysis` (lazily cached) over constructing this
+    directly when repeated queries are needed.
     """
 
-    def __init__(
-        self, computation: Computation, clock_backend: str = "list"
-    ) -> None:
+    def __init__(self, computation: Computation) -> None:
         self._computation = computation
-        self._clock_backend = require_clock_backend(clock_backend)
-        n = computation.num_processes
+        send_kind, internal = EventKind.SEND, EventKind.INTERNAL
         # Per process: interval index of each local state s_0..s_T.
         self._state_intervals: list[list[int]] = []
-        for pid in range(n):
-            events = computation.events_of(pid)
+        # Per process: number of intervals = 1 + #comm events.
+        self._num_intervals: list[int] = []
+        self._send_tags: dict[int, int] = {}
+        received: list[list[tuple[int, Pid, int]]] = []
+        for trace in computation.processes:
             intervals = [1]
             current = 1
-            for event in events:
-                if event.kind.is_communication:
+            recvs: list[tuple[int, Pid, int]] = []
+            for idx, event in enumerate(trace.events):
+                kind = event.kind
+                if kind is not internal:
+                    if kind is send_kind:
+                        self._send_tags[event.msg_id] = current
+                    else:
+                        recvs.append((idx, event.peer, event.msg_id))
                     current += 1
                 intervals.append(current)
             self._state_intervals.append(intervals)
-        # Per process: number of intervals = 1 + #comm events.
-        self._num_intervals = [
-            1 + computation.processes[pid].communication_count for pid in range(n)
+            self._num_intervals.append(current)
+            received.append(recvs)
+        tags = self._send_tags
+        self._recv_deps: list[list[tuple[int, Dependence]]] = [
+            [(idx, Dependence(peer, tags[msg_id])) for idx, peer, msg_id in recvs]
+            for recvs in received
         ]
-        self._vectors: list[list[VectorClock] | list[PackedVectorClock]] = [
-            [] for _ in range(n)
-        ]
-        self._send_tags: dict[int, int] = {}
-        self._recv_deps: list[list[tuple[int, Dependence]]] = [[] for _ in range(n)]
-        if self._clock_backend == "packed":
-            self._sweep_packed()
-        else:
-            self._sweep()
+        self._vectors: list[list[VectorClock]] | None = None
 
     # ------------------------------------------------------------------
-    # Construction sweep
+    # Vector clocks, built on first read
     # ------------------------------------------------------------------
-    def _sweep(self) -> None:
-        comp = self._computation
-        n = comp.num_processes
-        current_vec = [VectorClock.initial(pid, n) for pid in range(n)]
-        # Message id -> sender's full vector at the send (the Fig. 2 tag).
-        tag_vectors: dict[int, VectorClock] = {}
-        for pid, idx in comp.topological_order():
-            event = comp.event(pid, idx)
-            if event.kind is EventKind.INTERNAL:
-                continue
-            # The vector held during the interval this comm event closes.
-            self._vectors[pid].append(current_vec[pid])
-            if event.kind is EventKind.SEND:
-                assert event.msg_id is not None
-                tag_vectors[event.msg_id] = current_vec[pid]
-                self._send_tags[event.msg_id] = current_vec[pid][pid]
-                current_vec[pid] = current_vec[pid].tick(pid)
-            else:  # RECV
-                assert event.msg_id is not None and event.peer is not None
-                tag = tag_vectors[event.msg_id]
-                self._recv_deps[pid].append(
-                    (idx, Dependence(event.peer, tag[event.peer]))
-                )
-                current_vec[pid] = current_vec[pid].merged(tag).tick(pid)
-        # The final (open) interval of every process.
-        for pid in range(n):
-            self._vectors[pid].append(current_vec[pid])
-            assert len(self._vectors[pid]) == self._num_intervals[pid]
+    def _build_vectors(self) -> list[list[VectorClock]]:
+        """One sweep over :meth:`Computation.causal_runs`.
 
-    def _sweep_packed(self) -> None:
-        """The packed fast path: same sweep, zero clock-object churn.
-
-        One owned ``array('q')`` working buffer per process is mutated
-        in place (O(1) tick, single-pass merge); the per-interval frozen
-        snapshot is a C-level buffer copy adopted without re-validation.
-
-        Scheduling differs from :meth:`_sweep` but the *values* cannot:
-        interval vectors, send tags and dependences are determined by
-        the causal structure alone (vector-clock merge is confluent), so
-        instead of a global heap-ordered linearization this sweep runs
-        each process's event list straight through, parking a process
-        that reaches a receive whose tag is not yet known and waking it
-        when the matching send executes — ``O(E)`` total, no
-        ``topological_order()`` heap and no per-event double indexing.
-        Bit-identical results are pinned by the parity suite in
-        ``tests/integration``.
+        A working list per process is ticked and merged in place; each
+        interval freezes one tuple-backed clock, adopted without
+        re-validation.  A send's frozen tuple doubles as the message's
+        tag until the receive merges it.
         """
         comp = self._computation
         n = comp.num_processes
-        zero = bytes(8 * n)
-        current: list[array] = []
+        events = [trace.events for trace in comp.processes]
+        trusted = VectorClock._trusted
+        internal, send_kind = EventKind.INTERNAL, EventKind.SEND
+        vectors: list[list[VectorClock]] = [[] for _ in range(n)]
+        working: list[list[int]] = []
         for pid in range(n):
-            buf = array("q", zero)
+            buf = [0] * n
             buf[pid] = 1
-            current.append(buf)
-        events = [comp.events_of(pid) for pid in range(n)]
-        counts = [len(events[pid]) for pid in range(n)]
-        vectors = self._vectors
-        send_tags = self._send_tags
-        recv_deps = self._recv_deps
-        trusted = PackedVectorClock._trusted
-        internal = EventKind.INTERNAL
-        send_kind = EventKind.SEND
-        # Message id -> the frozen snapshot of the sender's vector at
-        # the send (shared with the closing interval's stored vector, so
-        # tags carry no extra copies).
-        tag_vectors: dict[int, PackedVectorClock] = {}
-        # Message id -> the pid parked waiting for that send's tag.
-        blocked_on: dict[int, int] = {}
-        ptr = [0] * n
-        ready = list(range(n))
-        while ready:
-            pid = ready.pop()
-            events_p = events[pid]
-            count = counts[pid]
-            buf = current[pid]
+            working.append(buf)
+        tags: dict[int, tuple[int, ...]] = {}
+        for pid, start, stop in comp.causal_runs():
+            buf = working[pid]
             vectors_p = vectors[pid]
-            deps_p = recv_deps[pid]
-            i = ptr[pid]
-            while i < count:
+            events_p = events[pid]
+            for i in range(start, stop):
                 event = events_p[i]
                 kind = event.kind
                 if kind is internal:
-                    i += 1
                     continue
+                frozen = tuple(buf)
+                vectors_p.append(trusted(frozen))
                 if kind is send_kind:
-                    snap = trusted(array("q", buf))
-                    vectors_p.append(snap)
-                    mid = event.msg_id
-                    tag_vectors[mid] = snap
-                    send_tags[mid] = buf[pid]
-                    waiter = blocked_on.pop(mid, None)
-                    if waiter is not None:
-                        ready.append(waiter)
-                else:  # RECV
-                    mid = event.msg_id
-                    tag = tag_vectors.get(mid)
-                    if tag is None:
-                        blocked_on[mid] = pid
-                        break
-                    snap = trusted(array("q", buf))
-                    vectors_p.append(snap)
-                    tag_buf = tag._buf
-                    deps_p.append(
-                        (i, Dependence(event.peer, tag_buf[event.peer]))
-                    )
-                    for k, v in enumerate(tag_buf):
+                    tags[event.msg_id] = frozen
+                else:  # RECV: each message is received once
+                    for k, v in enumerate(tags.pop(event.msg_id)):
                         if v > buf[k]:
                             buf[k] = v
                 buf[pid] += 1
-                i += 1
-            ptr[pid] = i
-        # Acyclicity (validated at Computation construction) guarantees
-        # every parked process was eventually woken and ran to the end.
-        assert ptr == counts
         # The final (open) interval of every process.
         for pid in range(n):
-            vectors[pid].append(trusted(array("q", current[pid])))
+            vectors[pid].append(trusted(tuple(working[pid])))
             assert len(vectors[pid]) == self._num_intervals[pid]
+        self._vectors = vectors
+        return vectors
 
     # ------------------------------------------------------------------
     # Structure accessors
@@ -228,9 +147,9 @@ class IntervalAnalysis:
         return self._computation
 
     @property
-    def clock_backend(self) -> str:
-        """The vector-clock representation this analysis was built with."""
-        return self._clock_backend
+    def vectors_built(self) -> bool:
+        """Whether a vector-clock read has built the interval vectors."""
+        return self._vectors is not None
 
     def num_intervals(self, pid: Pid) -> int:
         """Number of communication intervals on process ``pid``."""
@@ -244,25 +163,20 @@ class IntervalAnalysis:
         """The contiguous range of local-state indices inside ``interval``."""
         self._check_interval(pid, interval)
         intervals = self._state_intervals[pid]
-        # Intervals are 1-based and contiguous over a sorted list; binary
-        # search would work, but interval counts are small enough that a
-        # cached linear index is not worth the complexity here.
-        import bisect
-
         lo = bisect.bisect_left(intervals, interval)
         hi = bisect.bisect_right(intervals, interval)
         return range(lo, hi)
 
-    def vector(self, pid: Pid, interval: int) -> VectorClock | PackedVectorClock:
+    def vector(self, pid: Pid, interval: int) -> VectorClock:
         """The full-width vector clock of interval ``(pid, interval)``.
 
         Width is ``N``; detection algorithms over a predicate subset
-        project it with :meth:`projected_vector`.  The concrete class
-        follows :attr:`clock_backend`; both expose the same interface
-        and identical component values.
+        project it with :meth:`projected_vector`.  The first call builds
+        the clocks of every interval.
         """
         self._check_interval(pid, interval)
-        return self._vectors[pid][interval - 1]
+        vectors = self._vectors or self._build_vectors()
+        return vectors[pid][interval - 1]
 
     def projected_vector(
         self, pid: Pid, interval: int, pids: Sequence[Pid]

@@ -3,6 +3,10 @@
 Recorded runs are plain data; persisting them lets benchmark workloads
 be archived and examples ship canned traces.  Variable values must be
 JSON-representable (the generators only use booleans and numbers).
+
+Decoding is one pass per process.  :func:`loads` owns the document it
+parses, so it drops each process's JSON once that process's events
+exist: the JSON tree and the events are never both fully alive.
 """
 
 from __future__ import annotations
@@ -12,11 +16,14 @@ from typing import Any
 
 from repro.common.errors import SerializationError
 from repro.trace.computation import Computation
-from repro.trace.events import Event, EventKind, ProcessTrace
+from repro.trace.events import _NO_UPDATES, Event, EventKind, ProcessTrace
 
 __all__ = ["computation_to_dict", "computation_from_dict", "dumps", "loads"]
 
 _FORMAT_VERSION = 1
+
+#: Wire value -> kind, a dict lookup instead of ``EventKind(value)``.
+_KINDS = {kind.value: kind for kind in EventKind}
 
 
 def computation_to_dict(computation: Computation) -> dict[str, Any]:
@@ -44,35 +51,62 @@ def computation_to_dict(computation: Computation) -> dict[str, Any]:
 def computation_from_dict(data: dict[str, Any]) -> Computation:
     """Decode a computation from :func:`computation_to_dict` output.
 
-    Raises :class:`SerializationError` on malformed input; structural
-    validation (message matching, acyclicity) is re-run on construction.
+    Raises :class:`SerializationError` on malformed input, naming the
+    process and event at fault; structural validation (message matching,
+    acyclicity) is re-run on construction.  ``data`` is not modified.
     """
+    return _decode(data, owned=False)
+
+
+def _decode(data: dict[str, Any], owned: bool) -> Computation:
+    """Decode ``data``; if ``owned``, release each process's JSON as
+    soon as its events are built."""
     try:
         version = data["version"]
         if version != _FORMAT_VERSION:
             raise SerializationError(f"unsupported format version {version!r}")
+        processes = data["processes"]
         traces = []
-        for proc in data["processes"]:
-            events = []
-            for entry in proc["events"]:
-                kind = EventKind(entry["kind"])
-                events.append(
-                    Event(
-                        kind=kind,
-                        msg_id=entry.get("msg_id"),
-                        peer=entry.get("peer"),
-                        updates=entry.get("updates", {}),
-                        time=entry.get("time"),
-                    )
-                )
-            traces.append(
-                ProcessTrace(tuple(events), proc.get("initial_vars", {}))
-            )
+        for pid, proc in enumerate(processes):
+            traces.append(_decode_process(pid, proc))
+            if owned:
+                processes[pid] = None
     except SerializationError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed computation document: {exc}") from exc
     return Computation(traces)
+
+
+def _decode_process(pid: int, proc: dict[str, Any]) -> ProcessTrace:
+    """One process's trace; errors name the process and, inside its
+    event list, the event."""
+    events = []
+    append = events.append
+    kinds = _KINDS
+    index = None
+    try:
+        for index, entry in enumerate(proc["events"]):
+            kind = kinds.get(entry["kind"])
+            if kind is None:
+                raise ValueError(f"unknown event kind {entry['kind']!r}")
+            append(
+                Event(
+                    kind,
+                    entry.get("msg_id"),
+                    entry.get("peer"),
+                    entry.get("updates", _NO_UPDATES),
+                    entry.get("time"),
+                )
+            )
+        index = None
+        return ProcessTrace(tuple(events), proc.get("initial_vars", {}))
+    except (KeyError, TypeError, ValueError) as exc:
+        where = f"process {pid}" if index is None else f"process {pid} event {index}"
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise SerializationError(
+            f"malformed computation document: {where}: {detail}"
+        ) from exc
 
 
 def dumps(computation: Computation, indent: int | None = None) -> str:
@@ -86,4 +120,4 @@ def loads(text: str) -> Computation:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"invalid JSON: {exc}") from exc
-    return computation_from_dict(data)
+    return _decode(data, owned=True)

@@ -19,6 +19,12 @@ Emission points matter for the dependence slicing: a snapshot emitted at
 the first predicate-true state of an interval carries exactly the
 dependences of receives that precede that state and follow the previous
 emission.
+
+All streams come from the computation's one cached
+:class:`~repro.trace.intervals.IntervalAnalysis`.  Vector-clock and GCP
+streams read its vector clocks, which it builds on first read; the
+direct-dependence streams read only scalar counters and dependences, so
+a §4 run never builds a vector.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.clocks.dependence import Dependence
-from repro.clocks.vector import PackedVectorClock, VectorClock
+from repro.clocks.vector import VectorClock
 from repro.common.types import Pid
 from repro.trace.computation import Computation
 
@@ -52,13 +58,11 @@ class VCSnapshot:
     ``vector`` is full width (``N``); detectors over a predicate subset
     project it.  ``state_index`` is the local state at which the snapshot
     was emitted (used for replay timing), ``time`` its optional timestamp.
-    The vector's concrete class follows the ``clock_backend`` the stream
-    was extracted with; both expose identical values and projections.
     """
 
     pid: Pid
     interval: int
-    vector: VectorClock | PackedVectorClock
+    vector: VectorClock
     state_index: int
     time: float | None = None
 
@@ -89,7 +93,7 @@ class GCPSnapshot:
 
     pid: Pid
     interval: int
-    vector: VectorClock | PackedVectorClock
+    vector: VectorClock
     sends: Mapping[Pid, int]
     recvs: Mapping[Pid, int]
     state_index: int
@@ -104,7 +108,6 @@ def emission_points(
     computation: Computation,
     pid: Pid,
     predicate: LocalStatePredicate,
-    clock_backend: str = "list",
 ) -> list[tuple[int, int]]:
     """Snapshot emission points for ``pid``: ``(interval, state_index)``.
 
@@ -112,12 +115,9 @@ def emission_points(
     state, at the first such state — exactly Fig. 2's ``firstflag``
     behaviour (the flag is set by every send/receive, i.e. at every
     interval boundary, and cleared on the first true evaluation).
-
-    ``clock_backend`` only picks which cached analysis to reuse — the
-    emission points themselves are backend-independent — so callers that
-    extract packed snapshot streams never build the list analysis too.
+    Reads interval indices only, never vector clocks.
     """
-    analysis = computation.analysis(clock_backend)
+    analysis = computation.analysis()
     states = computation.local_states(pid)
     points: list[tuple[int, int]] = []
     last_emitted_interval = 0
@@ -135,14 +135,10 @@ def true_intervals(
     computation: Computation,
     pid: Pid,
     predicate: LocalStatePredicate,
-    clock_backend: str = "list",
 ) -> list[int]:
     """The intervals of ``pid`` in which ``predicate`` holds somewhere."""
     return [
-        interval
-        for interval, _ in emission_points(
-            computation, pid, predicate, clock_backend
-        )
+        interval for interval, _ in emission_points(computation, pid, predicate)
     ]
 
 
@@ -156,19 +152,17 @@ def _event_time(computation: Computation, pid: Pid, state_index: int) -> float |
 def vc_snapshots(
     computation: Computation,
     predicates: Mapping[Pid, LocalStatePredicate],
-    clock_backend: str = "list",
 ) -> dict[Pid, list[VCSnapshot]]:
     """Vector-clock snapshot streams for every predicate process.
 
-    Returns a FIFO-ordered list per pid in ``predicates``.
+    Returns a FIFO-ordered list per pid in ``predicates``.  Reads vector
+    clocks, so the first call on a computation builds them.
     """
-    analysis = computation.analysis(clock_backend)
+    analysis = computation.analysis()
     streams: dict[Pid, list[VCSnapshot]] = {}
     for pid, predicate in predicates.items():
         stream: list[VCSnapshot] = []
-        for interval, state_index in emission_points(
-            computation, pid, predicate, clock_backend
-        ):
+        for interval, state_index in emission_points(computation, pid, predicate):
             stream.append(
                 VCSnapshot(
                     pid=pid,
@@ -186,7 +180,6 @@ def gcp_snapshots(
     computation: Computation,
     predicates: Mapping[Pid, LocalStatePredicate],
     channels: Sequence[tuple[Pid, Pid]],
-    clock_backend: str = "list",
 ) -> dict[Pid, list[GCPSnapshot]]:
     """Snapshot streams carrying channel counters for GCP detection.
 
@@ -195,7 +188,7 @@ def gcp_snapshots(
     its cumulative send counters for channels it sources and receive
     counters for channels it terminates.
     """
-    analysis = computation.analysis(clock_backend)
+    analysis = computation.analysis()
     from repro.trace.events import EventKind
 
     out_channels: dict[Pid, list[Pid]] = {}
@@ -222,9 +215,7 @@ def gcp_snapshots(
                 for interval in range(opened, max_interval + 1):
                     recv_counts[event.peer][interval] += 1
         stream: list[GCPSnapshot] = []
-        for interval, state_index in emission_points(
-            computation, pid, predicate, clock_backend
-        ):
+        for interval, state_index in emission_points(computation, pid, predicate):
             stream.append(
                 GCPSnapshot(
                     pid=pid,
@@ -243,7 +234,6 @@ def gcp_snapshots(
 def dd_snapshots(
     computation: Computation,
     predicates: Mapping[Pid, LocalStatePredicate],
-    clock_backend: str = "list",
 ) -> dict[Pid, list[DDSnapshot]]:
     """Direct-dependence snapshot streams for **all** ``N`` processes.
 
@@ -253,18 +243,17 @@ def dd_snapshots(
 
     The dependence list flushed into each snapshot contains the receives
     strictly before the snapshot's emission state and at/after the
-    previous snapshot's emission state, in receive order.
+    previous snapshot's emission state, in receive order.  Reads scalar
+    interval counters and dependences only, never vector clocks.
     """
     streams: dict[Pid, list[DDSnapshot]] = {}
-    analysis = computation.analysis(clock_backend)
+    analysis = computation.analysis()
     for pid in range(computation.num_processes):
         predicate = predicates.get(pid, _always_true)
         deps = analysis.receive_dependences(pid)  # (recv_event_index, dep)
         stream: list[DDSnapshot] = []
         dep_pos = 0
-        for interval, state_index in emission_points(
-            computation, pid, predicate, clock_backend
-        ):
+        for interval, state_index in emission_points(computation, pid, predicate):
             flushed: list[Dependence] = []
             # A receive at event index r produces local state r+1; its
             # dependence is visible to snapshots emitted at state > r,

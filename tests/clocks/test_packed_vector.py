@@ -1,134 +1,138 @@
-"""Unit tests for PackedVectorClock: value parity with VectorClock.
+"""Clocks frozen from a working list: value parity with validated clocks.
 
-The packed backend is only allowed to exist because it is bit-identical
-to the list backend.  Every test here phrases that contract directly:
-the same operation on both classes must produce the same components,
-the same comparison verdicts and the same projections — the in-place
-mutators must agree with their copying counterparts.
+The interval sweep (``IntervalAnalysis._build_vectors``) ticks and
+merges one plain ``list`` per process in place and freezes each
+interval's clock with ``VectorClock._trusted(tuple(buf))``, skipping the
+constructor's validation.  That is only sound if a frozen clock is
+indistinguishable from a validated one: the same components, the same
+comparison verdicts, hashes and projections — and the in-place list
+operations must agree with :meth:`VectorClock.tick` / :meth:`merged`.
 """
 
 import random
 
 import pytest
 
-from repro.clocks import (
-    CLOCK_BACKENDS,
-    PackedVectorClock,
-    VectorClock,
-    clock_class,
-    require_clock_backend,
-)
+from repro.clocks import VectorClock
 from repro.common import ClockError
-from repro.common.errors import ConfigurationError
 
 
 def _random_components(rng, width):
     return [rng.randrange(0, 50) for _ in range(width)]
 
 
+def _frozen(buf):
+    """The sweep's freeze: adopt a tuple copy of the working list."""
+    return VectorClock._trusted(tuple(buf))
+
+
+def _tick_in_place(buf, owner):
+    buf[owner] += 1
+
+
+def _merge_in_place(buf, tag):
+    """The sweep's receive merge: a compare loop over the tag."""
+    for k, v in enumerate(tag):
+        if v > buf[k]:
+            buf[k] = v
+
+
 class TestConstructionParity:
     def test_from_components(self):
-        p = PackedVectorClock([1, 2, 3])
+        p = _frozen([1, 2, 3])
         assert p.components == (1, 2, 3)
         assert p.width == 3
         assert len(p) == 3
         assert list(p) == [1, 2, 3]
         assert p[1] == 2
+        assert p == VectorClock([1, 2, 3])
 
     def test_initial_matches_list_backend(self):
-        assert (
-            PackedVectorClock.initial(owner=2, width=4).components
-            == VectorClock.initial(owner=2, width=4).components
-        )
+        buf = [0] * 4
+        buf[2] = 1
+        assert _frozen(buf) == VectorClock.initial(owner=2, width=4)
 
     def test_zero_matches_list_backend(self):
-        assert (
-            PackedVectorClock.zero(5).components
-            == VectorClock.zero(5).components
-        )
+        assert _frozen([0] * 5) == VectorClock.zero(5)
 
     def test_empty_rejected(self):
         with pytest.raises(ClockError):
-            PackedVectorClock([])
+            VectorClock([])
 
     def test_negative_component_rejected(self):
         with pytest.raises(ClockError):
-            PackedVectorClock([1, -1])
+            VectorClock([1, -1])
 
     def test_zero_width_rejected(self):
         with pytest.raises(ClockError):
-            PackedVectorClock.zero(0)
+            VectorClock.zero(0)
 
     def test_initial_owner_out_of_range(self):
         with pytest.raises(ClockError):
-            PackedVectorClock.initial(owner=4, width=4)
+            VectorClock.initial(owner=4, width=4)
 
 
 class TestOperationParity:
-    """tick/merged and their in-place twins track VectorClock exactly."""
+    """In-place list tick/merge track VectorClock's copying operations."""
 
     def test_tick_matches(self):
         rng = random.Random(7)
         comps = _random_components(rng, 6)
         for owner in range(6):
-            assert (
-                PackedVectorClock(comps).tick(owner).components
-                == VectorClock(comps).tick(owner).components
-            )
+            assert _frozen(comps).tick(owner) == VectorClock(comps).tick(owner)
 
     def test_merged_matches(self):
         rng = random.Random(8)
         for _ in range(50):
             a = _random_components(rng, 5)
             b = _random_components(rng, 5)
-            assert (
-                PackedVectorClock(a).merged(PackedVectorClock(b)).components
-                == VectorClock(a).merged(VectorClock(b)).components
+            assert _frozen(a).merged(_frozen(b)) == VectorClock(a).merged(
+                VectorClock(b)
             )
 
     def test_tick_in_place_agrees_with_tick(self):
-        working = PackedVectorClock([3, 1, 4])
-        expected = working.tick(1)
-        working.tick_in_place(1)
-        assert working.components == expected.components
+        working = [3, 1, 4]
+        expected = VectorClock(working).tick(1)
+        _tick_in_place(working, 1)
+        assert _frozen(working) == expected
 
     def test_merge_in_place_agrees_with_merged(self):
         rng = random.Random(9)
         for _ in range(50):
             a = _random_components(rng, 4)
             b = _random_components(rng, 4)
-            working = PackedVectorClock(a)
-            expected = working.merged(PackedVectorClock(b))
-            working.merge_in_place(PackedVectorClock(b))
-            assert working.components == expected.components
+            expected = VectorClock(a).merged(VectorClock(b))
+            _merge_in_place(a, _frozen(b).components)
+            assert _frozen(a) == expected
 
     def test_snapshot_is_independent_of_working_copy(self):
-        working = PackedVectorClock([1, 2, 3])
-        frozen = working.snapshot()
-        working.tick_in_place(0)
-        working.merge_in_place(PackedVectorClock([9, 9, 9]))
+        working = [1, 2, 3]
+        frozen = _frozen(working)
+        _tick_in_place(working, 0)
+        _merge_in_place(working, (9, 9, 9))
         assert frozen.components == (1, 2, 3)
 
     def test_tick_does_not_mutate_receiver(self):
-        p = PackedVectorClock([1, 1])
+        p = _frozen([1, 1])
         p.tick(0)
         assert p.components == (1, 1)
 
     def test_random_op_sequences_stay_in_lockstep(self):
-        """Replay one op stream through both classes; states never drift."""
+        """Replay one op stream both ways; states never drift."""
         rng = random.Random(10)
         width = 5
-        packed = PackedVectorClock.initial(0, width)
+        working = [1, 0, 0, 0, 0]
         listed = VectorClock.initial(0, width)
         for _ in range(200):
             if rng.random() < 0.5:
                 owner = rng.randrange(width)
-                packed, listed = packed.tick(owner), listed.tick(owner)
+                _tick_in_place(working, owner)
+                listed = listed.tick(owner)
             else:
                 other = _random_components(rng, width)
-                packed = packed.merged(PackedVectorClock(other))
+                _merge_in_place(working, other)
                 listed = listed.merged(VectorClock(other))
-            assert packed.components == listed.components
+            assert _frozen(working) == listed
 
 
 class TestComparisonParity:
@@ -145,75 +149,47 @@ class TestComparisonParity:
 
     def test_all_orderings_match(self):
         for a, b in self._pairs():
-            pa, pb = PackedVectorClock(a), PackedVectorClock(b)
+            pa, pb = _frozen(a), _frozen(b)
             va, vb = VectorClock(a), VectorClock(b)
             assert (pa < pb) == (va < vb)
             assert (pa <= pb) == (va <= vb)
             assert (pa > pb) == (va > vb)
             assert (pa >= pb) == (va >= vb)
             assert (pa == pb) == (va == vb)
+            assert (pa <= vb) == (va <= vb)
             assert pa.concurrent_with(pb) == va.concurrent_with(vb)
             assert pa.happened_before(pb) == va.happened_before(vb)
 
     def test_hash_follows_components(self):
-        assert hash(PackedVectorClock([1, 2])) == hash(
-            PackedVectorClock([1, 2])
-        )
+        assert hash(_frozen([1, 2])) == hash(VectorClock([1, 2]))
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ClockError):
-            PackedVectorClock([1]) <= PackedVectorClock([1, 2])
+            _frozen([1]) <= _frozen([1, 2])
 
     def test_cross_class_comparison_rejected(self):
         with pytest.raises(ClockError):
-            PackedVectorClock([1, 2]) <= VectorClock([1, 2])  # type: ignore[operator]
+            _frozen([1, 2]) <= (1, 2)  # type: ignore[operator]
 
 
 class TestProjectionParity:
     def test_identity_projection(self):
-        comps = [4, 5, 6]
-        pids = (0, 1, 2)
-        assert (
-            PackedVectorClock(comps).project(pids)
-            == VectorClock(comps).project(pids)
-            == (4, 5, 6)
-        )
+        comps = (4, 5, 6)
+        frozen = VectorClock._trusted(comps)
+        # The full-width projection hands back the stored tuple itself.
+        assert frozen.project((0, 1, 2)) is comps
+        assert frozen.project([0, 1, 2]) == VectorClock(comps).project((0, 1, 2))
 
     def test_subset_projection(self):
         comps = [4, 5, 6, 7]
         for pids in ((0,), (1, 3), (3, 0), (2, 2)):
-            assert (
-                PackedVectorClock(comps).project(pids)
-                == VectorClock(comps).project(pids)
-            )
+            assert _frozen(comps).project(pids) == VectorClock(comps).project(pids)
 
     def test_projection_returns_plain_tuple(self):
-        out = PackedVectorClock([1, 2, 3]).project((0, 1, 2))
+        out = _frozen([1, 2, 3]).project((0, 1, 2))
         assert type(out) is tuple
         assert all(type(c) is int for c in out)
 
     def test_size_words_matches(self):
         comps = [1, 2, 3, 4]
-        assert (
-            PackedVectorClock(comps).size_words()
-            == VectorClock(comps).size_words()
-            == 4
-        )
-
-
-class TestBackendSelectors:
-    def test_backends_tuple(self):
-        assert CLOCK_BACKENDS == ("list", "packed")
-
-    def test_clock_class(self):
-        assert clock_class("list") is VectorClock
-        assert clock_class("packed") is PackedVectorClock
-
-    def test_require_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            require_clock_backend("numpy")
-        with pytest.raises(ConfigurationError):
-            clock_class("numpy")
-
-    def test_require_returns_value(self):
-        assert require_clock_backend("packed") == "packed"
+        assert _frozen(comps).size_words() == VectorClock(comps).size_words() == 4

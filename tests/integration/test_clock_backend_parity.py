@@ -1,14 +1,20 @@
-"""Integration: packed clock backend is bit-identical to the list backend.
+"""Integration: detection is independent of how the trace was ingested.
 
-``clock_backend="packed"`` is a pure representation change — an
-``array('q')`` causal analysis instead of tuples of boxed ints.  Under
-every fault regime we ship (message loss + crash, partition + heal,
-rolling monitor churn) each hardened detector must produce the **same
-verdict, the same first cut and byte-identical paper units** on both
-backends; with the streaming invariant monitors attached, the same
-invariant verdicts too.  Any divergence means the packed sweep computed
-a different causal structure, which is a correctness bug, not a perf
-trade-off.
+The trace layer decodes JSON in one pass, validates causality with the
+wake-list scheduler and builds interval vector clocks only on first
+read (the §4 detectors never read them).  None of that may leak into a
+run.  Under every fault regime we ship (message loss + crash,
+partition + heal, rolling monitor churn) each hardened detector must
+produce **the same verdict, the same first cut and byte-identical
+paper units** on
+
+* the in-memory computation with every vector clock built up front, and
+* the same computation decoded afresh by ``loads(dumps(...))``, whose
+  vectors are built lazily by the run itself (or never);
+
+with the streaming invariant monitors attached, the same invariant
+verdicts too.  Any divergence means an ingest path computed a different
+causal structure, which is a correctness bug, not a perf trade-off.
 """
 
 import json
@@ -26,6 +32,7 @@ from repro.simulation.faults import (
     PartitionEvent,
 )
 from repro.trace import random_computation
+from repro.trace.serialization import dumps, loads
 
 HARDENED = ("token_vc", "token_vc_multi", "direct_dep", "direct_dep_parallel")
 
@@ -60,24 +67,30 @@ def _units_bytes(rep) -> bytes:
     return json.dumps(paper_units(rep), sort_keys=True).encode()
 
 
-def _assert_backends_identical(name, comp, wcp, seed, plan, **options):
-    reps = {
-        backend: run_detector(
-            name, comp, wcp, seed=seed, faults=plan, hardened=True,
-            clock_backend=backend, **options,
-        )
-        for backend in ("list", "packed")
-    }
-    listed, packed = reps["list"], reps["packed"]
-    assert packed.detected == listed.detected, f"{name} s{seed} verdict"
-    assert packed.cut == listed.cut, f"{name} s{seed} cut"
-    assert packed.outcome == listed.outcome, f"{name} s{seed} outcome"
-    assert _units_bytes(packed) == _units_bytes(listed), (
-        f"{name} s{seed} paper units diverge:\n"
-        f"  list:   {paper_units(listed)}\n"
-        f"  packed: {paper_units(packed)}"
+def _prebuilt(comp):
+    """``comp`` with every interval vector clock already built."""
+    comp.analysis().vector(0, 1)
+    return comp
+
+
+def _run(name, comp, wcp, seed, plan, **options):
+    return run_detector(
+        name, comp, wcp, seed=seed, faults=plan, hardened=True, **options
     )
-    return listed, packed
+
+
+def _assert_ingest_paths_identical(name, comp, wcp, seed, plan, **options):
+    eager = _run(name, _prebuilt(comp), wcp, seed, plan, **options)
+    decoded = _run(name, loads(dumps(comp)), wcp, seed, plan, **options)
+    assert decoded.detected == eager.detected, f"{name} s{seed} verdict"
+    assert decoded.cut == eager.cut, f"{name} s{seed} cut"
+    assert decoded.outcome == eager.outcome, f"{name} s{seed} outcome"
+    assert _units_bytes(decoded) == _units_bytes(eager), (
+        f"{name} s{seed} paper units diverge:\n"
+        f"  eager:   {paper_units(eager)}\n"
+        f"  decoded: {paper_units(decoded)}"
+    )
+    return eager, decoded
 
 
 class TestLossCrashParity:
@@ -87,63 +100,60 @@ class TestLossCrashParity:
     def test_backends_agree(self, seed):
         comp, wcp = _case(seed)
         for name in HARDENED:
-            _assert_backends_identical(name, comp, wcp, seed, LOSSY)
+            _assert_ingest_paths_identical(name, comp, wcp, seed, LOSSY)
 
 
 class TestPartitionHealParity:
     """Partition + long crash + loss: takeover elections and healing
-    must not expose any backend-dependent behavior."""
+    must not expose any ingest-dependent behavior."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_backends_agree(self, seed):
         comp, wcp = _case(seed)
         for name in HARDENED:
-            _assert_backends_identical(name, comp, wcp, seed, PARTITIONED)
+            _assert_ingest_paths_identical(name, comp, wcp, seed, PARTITIONED)
 
 
 class TestChurnParity:
-    """Rolling monitor churn: crash/restart cycles on both backends."""
+    """Rolling monitor churn: crash/restart cycles on both ingest paths."""
 
     @pytest.mark.parametrize("seed", range(50))
     def test_backends_agree(self, seed):
         comp, wcp = _case(seed)
         for name in HARDENED:
-            _assert_backends_identical(name, comp, wcp, seed, CHURN)
+            _assert_ingest_paths_identical(name, comp, wcp, seed, CHURN)
 
 
 class TestInvariantMonitorParity:
-    """The runtime-verification verdicts are backend-invariant too."""
+    """The runtime-verification verdicts are ingest-invariant too."""
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("name", ("token_vc", "direct_dep"))
     def test_invariant_results_agree(self, name, seed):
         comp, wcp = _case(seed)
-        listed, packed = _assert_backends_identical(
+        eager, decoded = _assert_ingest_paths_identical(
             name, comp, wcp, seed, LOSSY, check_invariants=True,
         )
         assert (
-            packed.extras["invariant_violations"]
-            == listed.extras["invariant_violations"]
+            decoded.extras["invariant_violations"]
+            == eager.extras["invariant_violations"]
             == 0
         )
         assert (
-            packed.extras.get("invariant_summary")
-            == listed.extras.get("invariant_summary")
+            decoded.extras.get("invariant_summary")
+            == eager.extras.get("invariant_summary")
         )
 
 
 class TestBackendAgainstReference:
-    """Packed runs still match the fault-free reference verdict —
-    parity with the list backend composes with the exactness suites."""
+    """Decoded runs still match the fault-free reference verdict —
+    parity between ingest paths composes with the exactness suites."""
 
     @pytest.mark.parametrize("seed", range(10))
     def test_packed_matches_reference(self, seed):
         comp, wcp = _case(seed)
         ref = run_detector("reference", comp, wcp)
         for name in HARDENED:
-            rep = run_detector(
-                name, comp, wcp, seed=seed, faults=LOSSY, hardened=True,
-                clock_backend="packed",
-            )
+            rep = _run(name, loads(dumps(comp)), wcp, seed, LOSSY)
             assert rep.detected == ref.detected, f"{name} verdict"
             assert rep.cut == ref.cut, f"{name} cut"

@@ -1,9 +1,14 @@
 """Tests for sweep matrices: expansion, identity, serialization."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.sweep import SweepCell, SweepMatrix, load_matrix
+
+BASELINES = Path(__file__).resolve().parents[2] / "benchmarks" / "baselines"
 
 
 def small_matrix(**overrides) -> SweepMatrix:
@@ -154,46 +159,38 @@ class TestSweepMatrix:
 
 
 class TestClockBackendAxis:
+    """The vector-clock representation axis is gone: a stale matrix or
+    cell that still names it fails loudly instead of running."""
+
     def test_packed_suffixes_the_group(self):
-        plain = SweepCell(detector="token_vc", num_processes=4,
-                          sends_per_process=8)
-        packed = SweepCell(detector="token_vc", num_processes=4,
-                           sends_per_process=8, clock_backend="packed")
-        assert packed.group == plain.group + "/packed"
-        assert "/packed" not in plain.group  # old baselines unchanged
+        cell = SweepCell(detector="token_vc", num_processes=256,
+                         sends_per_process=16, predicate_density=0.0,
+                         pred_width=8)
+        assert cell.group == "token_vc/n256/m16/uniform/d0/w8/fnone"
+        baseline = json.loads(
+            (BASELINES / "large_cells.json").read_text(encoding="utf-8")
+        )
+        groups = {c["group"] for c in baseline["sweep"]["cells"]}
+        assert cell.group in groups
+        assert not any(g.endswith("/packed") for g in groups)
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="clock_backend"):
-            SweepCell(detector="token_vc", num_processes=4,
-                      sends_per_process=4, clock_backend="numpy")
-        with pytest.raises(ConfigurationError, match="clock backends"):
-            small_matrix(clock_backends=("numpy",))
+        stale = dict(small_matrix().to_dict(), clock_backends=["list"])
+        with pytest.raises(ConfigurationError, match="unknown matrix keys"):
+            SweepMatrix.from_dict(stale)
+        with pytest.raises(ConfigurationError, match="unknown keys"):
+            small_matrix(exclude=({"clock_backend": "list"},))
 
     def test_packed_requires_online_detector(self):
-        with pytest.raises(ConfigurationError, match="offline"):
-            SweepCell(detector="reference", num_processes=4,
+        with pytest.raises(TypeError):
+            SweepCell(detector="reference", num_processes=4,  # type: ignore[call-arg]
                       sends_per_process=4, clock_backend="packed")
 
-    def test_backend_axis_multiplies_online_cells_only(self):
-        matrix = small_matrix(
-            detectors=("token_vc", "reference"),
-            clock_backends=("list", "packed"),
-            seeds=(0,),
-        )
-        by_detector = {}
-        for cell in matrix.cells():
-            by_detector.setdefault(cell.detector, []).append(
-                cell.clock_backend
-            )
-        assert sorted(by_detector["token_vc"]) == ["list", "packed"]
-        assert by_detector["reference"] == ["list"]
-        assert matrix.num_cells == 3 * len(matrix.seeds)
-
     def test_backend_axis_round_trips(self):
-        matrix = small_matrix(clock_backends=("list", "packed"))
-        clone = SweepMatrix.from_dict(matrix.to_dict())
-        assert clone == matrix
-        assert clone.clock_backends == ("list", "packed")
+        matrix = small_matrix()
+        doc = matrix.to_dict()
+        assert "clock_backends" not in doc
+        assert SweepMatrix.from_dict(doc) == matrix
 
 
 class TestExclude:

@@ -565,65 +565,36 @@ class TestSweepCommand:
 
 
 class TestClockBackendCli:
-    def test_detect_packed_matches_list_verdict(self, trace_file, capsys):
-        reports = {}
-        for backend in ("list", "packed"):
-            code = main([
-                "detect", str(trace_file), "--detector", "token_vc",
-                "--clock-backend", backend, "--json",
-            ])
-            assert code == 0
-            reports[backend] = json.loads(capsys.readouterr().out)
-        assert reports["packed"]["detected"] == reports["list"]["detected"]
-        assert reports["packed"]["cut"] == reports["list"]["cut"]
+    """The vector-clock representation options are gone: a stale
+    invocation is an argparse error, not a silently ignored knob."""
 
-    def test_detect_packed_rejected_for_offline_detector(self, trace_file):
-        with pytest.raises(SystemExit, match="online detector"):
+    def test_detect_packed_rejected_for_offline_detector(self, trace_file, capsys):
+        with pytest.raises(SystemExit) as exc:
             main([
                 "detect", str(trace_file), "--detector", "reference",
                 "--clock-backend", "packed",
             ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_detect_unknown_backend_rejected(self, trace_file):
-        with pytest.raises(SystemExit):
+    def test_detect_unknown_backend_rejected(self, trace_file, capsys):
+        with pytest.raises(SystemExit) as exc:
             main([
                 "detect", str(trace_file), "--detector", "token_vc",
-                "--clock-backend", "numpy",
+                "--clock-backend", "list",
             ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_sweep_backend_axis_multiplies_cells(self, tmp_path, capsys):
-        out_file = tmp_path / "agg.json"
-        code = main([
-            "sweep", "--detectors", "token_vc,reference",
-            "--processes", "4", "--sends", "6", "--densities", "0",
-            "--plant-final-cut", "--clock-backends", "list,packed",
-            "--cache-dir", str(tmp_path / "c"),
-            "--out", str(out_file), "--quiet",
-        ])
-        assert code == 0
-        doc = json.loads(out_file.read_text())
-        groups = {cell["group"] for cell in doc["sweep"]["cells"]}
-        # token_vc doubles; offline reference stays on the list default.
-        assert len(doc["sweep"]["cells"]) == 3
-        assert any(group.endswith("/packed") for group in groups)
-        packed = [
-            cell for cell in doc["sweep"]["cells"]
-            if cell["group"].endswith("/packed")
-        ]
-        listed = [
-            cell for cell in doc["sweep"]["cells"]
-            if cell["cell"]["detector"] == "token_vc"
-            and not cell["group"].endswith("/packed")
-        ]
-        assert packed[0]["units"] == listed[0]["units"]
-
-    def test_sweep_unknown_backend_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="clock backends"):
+    def test_sweep_unknown_backend_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
             main([
                 "sweep", "--detectors", "token_vc", "--processes", "4",
-                "--sends", "6", "--clock-backends", "numpy",
+                "--sends", "6", "--clock-backends", "list",
                 "--cache-dir", str(tmp_path / "c"),
             ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDetectFailurePropagation:
