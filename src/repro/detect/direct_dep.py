@@ -369,12 +369,11 @@ class DirectDepGlue(StackGlue):
         if self._visit_phase == "gather":
             # repeat ... until candidate.clock > G
             while True:
-                entry = yield from self._next_candidate()
-                if entry == "halt":
+                snap: DDSnapshot = yield from self._next_candidate()
+                if snap == "halt":
                     return "halt"
-                if entry is None:
+                if snap is None:
                     return "abort"
-                snap: DDSnapshot = entry[0]
                 # Atomic: dependences and acceptance commit together.
                 self._deplist.extend(snap.deps)
                 if snap.clock > self.G:

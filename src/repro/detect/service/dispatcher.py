@@ -10,7 +10,9 @@ The dispatcher is the service's runtime.  For the flagship §3 detector
   however many predicates are registered;
 * one :class:`ServiceMonitor` per union process, hosting one small
   per-predicate **token machine** for every registered predicate that
-  names its pid.  Each machine runs the exact Fig. 3 visit logic; its
+  names its pid.  Each machine is a
+  :class:`~repro.detect.token_vc.Fig3Slot` and runs the one Fig. 3
+  visit; its
   token travels in :class:`~repro.detect.stack.TokenFrame`\\ s tagged
   with the predicate's ``pred_id`` and multiplexed over the same
   hop-acked transport as a single-predicate run.
@@ -33,8 +35,8 @@ Detectors without a multiplexed implementation (``token_vc_multi``,
 ``direct_dep``, ``direct_dep_parallel``, and the offline baselines) run
 through the *amortized* path: one independent run per predicate against
 the **same** :class:`~repro.trace.computation.Computation` object, whose
-per-backend interval analysis is computed once and cached — the shared
-causality layer without transport multiplexing.
+interval analysis is computed once and cached — the shared causality
+layer without transport multiplexing.
 """
 
 from __future__ import annotations
@@ -45,9 +47,7 @@ from typing import TYPE_CHECKING, Any
 from repro.common.errors import ConfigurationError
 from repro.common.types import WORD_BITS
 from repro.detect.base import (
-    GREEN,
     MONITOR_PREFIX,
-    RED,
     TOKEN_KIND,
     DetectionReport,
     app_name,
@@ -64,7 +64,12 @@ from repro.detect.stack import (
     TokenFrame,
     harden,
 )
-from repro.detect.token_vc import TokenVCMonitor, VCToken, candidate_feed_items
+from repro.detect.token_vc import (
+    ROUTINGS,
+    Fig3Slot,
+    VCToken,
+    candidate_feed_items,
+)
 from repro.simulation.actors import Actor
 from repro.simulation.instrumentation import MetricsBoard
 from repro.simulation.kernel import Kernel, SimulationResult
@@ -108,20 +113,20 @@ class _PredDone:
         return WORD_BITS * (2 + len(self.cut or ()))
 
 
-class _PredMachine:
-    """One predicate's Fig. 3 state on one service monitor.
+class _PredMachine(Fig3Slot):
+    """One predicate's Fig. 3 slot on one service monitor.
 
     Plain mutable object stored in a persisted monitor attribute, so
-    (like every transport buffer) it survives a crash/restart.  The
-    ``cursor`` indexes the monitor's shared candidate buffer;
-    ``accepted`` is the §3 persisted acceptance used for crash-resumed
-    and re-presented visits.
+    (like every transport buffer) it survives a crash/restart.  Adds
+    the service fields to the slot state: the ``cursor`` indexes the
+    monitor's shared candidate buffer, ``proj`` projects a union-width
+    candidate onto the predicate's pids, and ``itinerary`` names the
+    monitor of each predicate slot.
     """
 
     __slots__ = (
-        "pred_idx", "pred_id", "slot", "n", "itinerary", "proj", "routing",
-        "cursor", "accepted", "done", "detected", "detected_cut",
-        "detected_at", "aborted", "token_visits",
+        "pred_idx", "pred_id", "itinerary", "proj", "cursor", "done",
+        "detected", "detected_cut", "detected_at", "aborted", "token_visits",
     )
 
     def __init__(
@@ -134,36 +139,18 @@ class _PredMachine:
         proj: tuple[int, ...],
         routing: str,
     ) -> None:
+        super().__init__(slot, n, routing)
         self.pred_idx = pred_idx
         self.pred_id = pred_id
-        self.slot = slot
-        self.n = n
         self.itinerary = itinerary
         self.proj = proj
-        self.routing = routing
         self.cursor = 0
-        self.accepted: tuple[int, ...] | None = None
         self.done = False
         self.detected = False
         self.detected_cut: tuple[int, ...] | None = None
         self.detected_at: float | None = None
         self.aborted = False
         self.token_visits = 0
-
-    def next_red_slot(self, token: VCToken) -> int:
-        """The §3 red-slot routing, per this machine's policy."""
-        reds = [j for j in range(self.n) if token.color[j] == RED]
-        if not reds:
-            raise AssertionError("no red slot despite not all green")
-        if self.routing == "first":
-            return reds[0]
-        if self.routing == "most_stale":
-            return min(reds, key=lambda j: (token.G[j], j))
-        for step in range(1, self.n + 1):  # cyclic
-            j = (self.slot + step) % self.n
-            if token.color[j] == RED:
-                return j
-        raise AssertionError("unreachable")
 
 
 class ServiceCore(Actor):
@@ -227,7 +214,7 @@ class ServiceGlue(StackGlue):
     def _snapshot_frame(self, frame: TokenFrame) -> TokenFrame:
         body = frame.body
         if isinstance(body, VCToken):
-            body = VCToken(G=list(body.G), color=list(body.color))
+            body = body.copy()
         return TokenFrame(
             frame.hop, body, frame.gid, frame.epoch, (), frame.pred_id
         )
@@ -326,42 +313,11 @@ class ServiceGlue(StackGlue):
             # straggler token for it is acked by the transport and
             # simply dropped at this layer.
             return "discard"
-        token: VCToken = body
-        slot = machine.slot
-        while token.color[slot] == RED:
-            if (
-                machine.accepted is not None
-                and machine.accepted[slot] > token.G[slot]
-            ):
-                # Re-presented bound already advanced past: replay the
-                # persisted acceptance (see TokenVCGlue._handle_frame).
-                token.G[slot] = machine.accepted[slot]
-                token.color[slot] = GREEN
-                yield self.work(1)
-                continue
-            entry = yield from self._machine_candidate(machine)
-            if entry == "halt":
-                return "halt"
-            if entry is None:
-                return "abort"
-            if entry[slot] > token.G[slot]:
-                token.G[slot] = entry[slot]
-                token.color[slot] = GREEN
-                machine.accepted = entry
-            yield self.work(1)
-        candidate = machine.accepted
-        if candidate is not None and token.G[slot] == candidate[slot]:
-            for j in range(machine.n):
-                if j == slot:
-                    continue
-                if candidate[j] >= token.G[j]:
-                    token.G[j] = candidate[j]
-                    token.color[j] = RED
-                yield self.work(1)
-        yield self.work(machine.n)
-        if token.all_green():
-            return "detected"
-        return "forward"
+        return (
+            yield from machine.visit(
+                self, body, lambda: self._machine_candidate(machine)
+            )
+        )
 
     def _resolve_frame(self, frame: TokenFrame, code: str) -> None:
         # Atomic with the frame's retirement (no yields).
@@ -383,7 +339,7 @@ class ServiceGlue(StackGlue):
             machine.detected_at = self.now
             self._finish_machine(machine)
         else:  # forward
-            target = machine.next_red_slot(token)
+            target = machine.next_red(token)
             self._begin_transfer(
                 machine.itinerary[target],
                 TokenFrame(
@@ -583,9 +539,9 @@ class SharedCausalityDispatcher:
         **detector_options: object,
     ) -> None:
         registry.check_against(computation.num_processes)
-        if routing not in TokenVCMonitor.ROUTINGS:
+        if routing not in ROUTINGS:
             raise ConfigurationError(
-                f"routing must be one of {TokenVCMonitor.ROUTINGS}, got {routing!r}"
+                f"routing must be one of {ROUTINGS}, got {routing!r}"
             )
         if "failure_detector" in detector_options and detector in MUX_DETECTORS:
             raise ConfigurationError(

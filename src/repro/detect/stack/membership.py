@@ -25,14 +25,19 @@ perfect failure detector plus coordinated takeover):
   ``elect`` responds with its own (most advanced) frame, so the
   regenerated token continues from the live state; its now-stale frames
   are discarded on receipt everywhere.  Monitors replay their persisted
-  ``_accepted`` candidate when a regenerated token re-presents an
-  already-satisfied bound, so re-visits consume no fresh candidates and
-  the detected cut is unchanged — elimination bounds are monotone, and
-  every bound a stale token established was valid.
+  accepted candidate (:class:`~repro.detect.token_vc.Fig3Slot`) when a
+  regenerated token re-presents an already-satisfied bound, so re-visits
+  consume no fresh candidates and the detected cut is unchanged —
+  elimination bounds are monotone, and every bound a stale token
+  established was valid.
 
 Heartbeat ticking is bounded by ``max_idle_rounds`` consecutive idle
 ticks so runs whose predicate never becomes true still quiesce to the
 kernel's deadlock detection (mapped to "not detected" / ``degraded``).
+Takeover is bounded the same way: once ``max_idle_rounds`` consecutive
+elections initiated by one monitor regenerate an unchanged token state
+(the token keeps being forwarded to a red slot whose monitor is dead),
+that monitor stops initiating elections and the run quiesces.
 """
 
 from __future__ import annotations
@@ -315,6 +320,10 @@ class FailureDetectorMixin:
         self._fd_last_heard: dict[int, float] = {}
         self._fd_idle_rounds = 0
         self._fd_regen_epoch = 0
+        #: Consecutive elections this monitor initiated whose regenerated
+        #: token state was the same as the previous one's, and that state.
+        self._fd_futile = 0
+        self._fd_last_regen: tuple = ()
         self._swim: SwimState | None = None
         #: Members learned at runtime (elastic join), ``{slot: name}`` —
         #: merged with the host's static ``_fd_peers`` everywhere the
@@ -434,6 +443,10 @@ class FailureDetectorMixin:
             return
         if holding:
             return  # the token is demonstrably here; nothing to take over
+        if self._fd_futile >= self._fd.max_idle_rounds:
+            # Takeovers keep regenerating the same token (it is forwarded
+            # to a dead red slot every time): let the run quiesce.
+            return
         alive = self._fd_alive_slots(now)
         if self._fd_slot() != min(alive):
             return  # a lower unsuspected slot is responsible for takeover
@@ -640,6 +653,10 @@ class FailureDetectorMixin:
         frames = best_frames(
             frame for reply in replies.values() for frame in reply.frames
         )
+        state = tuple((frame.gid, frame.body) for frame in frames)
+        futile = state == self._fd_last_regen
+        self._fd_futile = self._fd_futile + 1 if futile else 0
+        self._fd_last_regen = state
         if not frames:
             return  # nothing survives to regenerate from
         red_slots = tuple(sorted(

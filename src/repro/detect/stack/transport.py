@@ -1036,7 +1036,7 @@ class ReliableEndpoint:
     def _next_candidate(self):
         """Yield until the next in-order candidate (or end of trace).
 
-        Returns ``(payload, size_bits)``, or ``None`` once the stream is
+        Returns the candidate payload, or ``None`` once the stream is
         exhausted, or the string ``"halt"`` if the protocol was halted
         while waiting.
         """
@@ -1044,7 +1044,7 @@ class ReliableEndpoint:
             entry = self._inbox.pop()
             if entry is not None:
                 self.metrics.adjust_space(-entry[1])
-                return entry
+                return entry[0]
             if self._inbox.exhausted:
                 return None
             msg = yield from self._fd_receive(

@@ -30,6 +30,7 @@ candidate message ``n`` words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
@@ -75,7 +76,10 @@ if TYPE_CHECKING:  # annotation-only: cores stay decoupled from the fault layer
     from repro.simulation.faults import FaultPlan
 
 __all__ = [
+    "ROUTINGS",
     "VCToken",
+    "Fig3Slot",
+    "receive_candidate",
     "TokenVCMonitor",
     "HardenedTokenVCMonitor",
     "candidate_feed_items",
@@ -139,6 +143,122 @@ class VCToken:
         """True iff every slot is green (detection condition)."""
         return all(c == GREEN for c in self.color)
 
+    def copy(self) -> "VCToken":
+        """An independent copy (a hardened receiver mutates its own)."""
+        return VCToken(G=list(self.G), color=list(self.color))
+
+
+#: Token-routing policies for choosing which red slot receives the token
+#: next.  The paper leaves the choice open ("sends the token to a process
+#: whose color is red"); the ablation benchmark compares:
+#: ``cyclic`` — first red slot after ours, round robin (default);
+#: ``first`` — lowest-index red slot;
+#: ``most_stale`` — the red slot with the smallest eliminated bound (the
+#: candidate furthest behind).
+ROUTINGS = ("cyclic", "first", "most_stale")
+
+
+class Fig3Slot:
+    """One monitor slot of the Fig. 3 algorithm: the visit and the router.
+
+    Every §3 host (the plain and hardened single-token monitors, the
+    §3.5 group monitors and the service's per-predicate machines) runs
+    its token visits through :meth:`visit` and, where it routes by
+    policy, picks the next holder with :meth:`next_red`.  A host keeps
+    only its candidate source and what it does with the outcome.
+
+    ``accepted`` is the candidate the last visit accepted.  It lives in
+    an actor attribute, so it survives a crash: a crash-resumed visit
+    repaints from it, and a token regenerated by a takeover that
+    re-presents a bound this slot already advanced past replays it
+    instead of consuming fresh candidates.  A fault-free plain run never
+    replays: its one token's ``G`` only grows, so it always arrives at
+    or above the slot's last acceptance.
+    """
+
+    __slots__ = ("slot", "n", "routing", "accepted")
+
+    def __init__(self, slot: int, n: int, routing: str = "cyclic") -> None:
+        if routing not in ROUTINGS:
+            raise ConfigurationError(
+                f"routing must be one of {ROUTINGS}, got {routing!r}"
+            )
+        self.slot = slot
+        self.n = n
+        self.routing = routing
+        self.accepted: tuple[int, ...] | None = None
+
+    def visit(self, actor: Actor, token: VCToken, next_candidate):
+        """One (possibly crash-resumed) Fig. 3 visit of ``token``.
+
+        ``next_candidate()`` is a generator returning the next candidate
+        vector, ``None`` at end of trace, or ``"halt"``.  Returns
+        ``"halt"``, ``"abort"`` (end of trace while eliminated: by Lemma
+        3.1(4) the WCP cannot hold), ``"detected"`` (all green) or
+        ``"forward"``.  Safe to re-enter after a crash: each token
+        mutation happens in the same atomic block as the candidate pop
+        or ``accepted`` write that justified it, and the repaint is
+        idempotent.  Work: one unit per candidate consumed or replayed,
+        charged before the next candidate wait; then one per repaint
+        comparison plus ``n`` for the red-scan.
+        """
+        slot = self.slot
+        # Fig. 3 while-loop: advance own candidate past the eliminated G[i].
+        while token.color[slot] == RED:
+            accepted = self.accepted
+            if accepted is not None and accepted[slot] > token.G[slot]:
+                token.G[slot] = accepted[slot]
+                token.color[slot] = GREEN
+            else:
+                cand = yield from next_candidate()
+                if cand == "halt":
+                    return "halt"
+                if cand is None:
+                    return "abort"
+                if cand[slot] > token.G[slot]:
+                    token.G[slot] = cand[slot]
+                    token.color[slot] = GREEN
+                    self.accepted = cand
+            yield actor.work(1)
+        # Fig. 3 for-loop: repaint every j whose current candidate
+        # happened before ours (vector-clock property 2) — only when the
+        # token's bound for this slot is the one ``accepted`` justified:
+        # on a regenerated token installed at a green slot the persisted
+        # candidate may predate the bound and could eliminate states it
+        # cannot see.
+        candidate = self.accepted
+        comparisons = 0
+        if candidate is not None and token.G[slot] == candidate[slot]:
+            comparisons = self.n - 1
+            for j in range(self.n):
+                if j != slot and candidate[j] >= token.G[j]:
+                    token.G[j] = candidate[j]
+                    token.color[j] = RED
+        yield actor.work(comparisons + self.n)
+        return "detected" if token.all_green() else "forward"
+
+    def next_red(self, token: VCToken) -> int:
+        """The red slot to forward the token to, per the routing."""
+        reds = [j for j in range(self.n) if token.color[j] == RED]
+        if not reds:
+            raise AssertionError("no red slot despite not all green")
+        if self.routing == "first":
+            return reds[0]
+        if self.routing == "most_stale":
+            return min(reds, key=lambda j: (token.G[j], j))
+        for step in range(1, self.n + 1):  # cyclic
+            j = (self.slot + step) % self.n
+            if token.color[j] == RED:
+                return j
+        raise AssertionError("unreachable")
+
+
+def receive_candidate(actor: Actor):
+    """A plain monitor's candidate source for :meth:`Fig3Slot.visit`:
+    the next Fig. 2 snapshot from its app, or ``None`` at end of trace."""
+    cmsg = yield actor.receive(CANDIDATE_KIND, END_OF_TRACE_KIND)
+    return None if cmsg.kind == END_OF_TRACE_KIND else cmsg.payload
+
 
 class TokenVCMonitor(Actor):
     """The Fig. 3 monitor process for one predicate slot.
@@ -148,14 +268,8 @@ class TokenVCMonitor(Actor):
     monitor, ``aborted`` on a monitor that exhausted its candidates.
     """
 
-    #: Token-routing policies for choosing which red slot receives the
-    #: token next.  The paper leaves the choice open ("sends the token to
-    #: a process whose color is red"); the ablation benchmark compares:
-    #: ``cyclic`` — first red slot after ours, round robin (default);
-    #: ``first`` — lowest-index red slot;
-    #: ``most_stale`` — the red slot with the smallest eliminated bound
-    #: (the candidate furthest behind).
-    ROUTINGS = ("cyclic", "first", "most_stale")
+    #: The routing policies (see :data:`ROUTINGS`).
+    ROUTINGS = ROUTINGS
 
     def __init__(
         self,
@@ -165,15 +279,10 @@ class TokenVCMonitor(Actor):
         routing: str = "cyclic",
     ) -> None:
         super().__init__(monitor_name(pid))
-        if routing not in self.ROUTINGS:
-            raise ConfigurationError(
-                f"routing must be one of {self.ROUTINGS}, got {routing!r}"
-            )
+        self._fig3 = Fig3Slot(slot, len(monitor_names), routing)
         self._pid = pid
         self._slot = slot
         self._monitors = list(monitor_names)
-        self._n = len(monitor_names)
-        self._routing = routing
         self.detected = False
         self.detected_cut: tuple[int, ...] | None = None
         self.detected_at: float | None = None
@@ -186,73 +295,34 @@ class TokenVCMonitor(Actor):
             msg = yield self.receive(TOKEN_KIND, HALT_KIND)
             if msg.kind == HALT_KIND:
                 return
-            finished = yield from self._handle_token(msg.payload)
-            if finished:
-                return
-
-    def _handle_token(self, token: VCToken):
-        """One token visit; returns True when the protocol is over."""
-        slot = self._slot
-        self.token_visits += 1
-        candidate: tuple[int, ...] | None = None
-        # Fig. 3 while-loop: advance own candidate past the eliminated G[i].
-        while token.color[slot] == RED:
-            cmsg = yield self.receive(CANDIDATE_KIND, END_OF_TRACE_KIND)
-            if cmsg.kind == END_OF_TRACE_KIND:
-                # No further candidate can exist for an eliminated state:
-                # by Lemma 3.1(4) the WCP cannot hold in this run.
-                self.aborted = True
-                yield self._halt_others()
-                return True
-            yield self.work(1)
-            cand = cmsg.payload
-            if cand[slot] > token.G[slot]:
-                token.G[slot] = cand[slot]
-                token.color[slot] = GREEN
-                candidate = cand
-        assert candidate is not None
-        # Fig. 3 for-loop: repaint every j whose current candidate
-        # happened before ours (vector-clock property 2).
-        for j in range(self._n):
-            if j == slot:
+            token: VCToken = msg.payload
+            self.token_visits += 1
+            # The plain protocol forwards its token only to red slots and
+            # never regenerates it, so each visit accepts a candidate of
+            # its own.  Only an injected duplicate breaks this; clearing
+            # ``accepted`` keeps such runs on the paper's per-visit
+            # candidate instead of the hardened replay.
+            assert token.color[self._slot] == RED
+            self._fig3.accepted = None
+            code = yield from self._fig3.visit(
+                self, token, partial(receive_candidate, self)
+            )
+            if code == "forward":
+                target = self._fig3.next_red(token)
+                yield self.send(
+                    self._monitors[target], token, kind=TOKEN_KIND,
+                    size_bits=token.size_bits(),
+                )
                 continue
-            yield self.work(1)
-            if candidate[j] >= token.G[j]:
-                token.G[j] = candidate[j]
-                token.color[j] = RED
-        # Scan for a red slot to forward the token to.
-        yield self.work(self._n)
-        if token.all_green():
-            self.detected = True
-            self.detected_cut = tuple(token.G)
-            self.detected_at = self.now
-            yield self._halt_others()
-            return True
-        target = self._next_red_slot(token)
-        yield self.send(
-            self._monitors[target], token, kind=TOKEN_KIND,
-            size_bits=token.size_bits(),
-        )
-        return False
-
-    def _next_red_slot(self, token: VCToken) -> int:
-        """Pick the red slot to forward the token to, per the routing."""
-        reds = [j for j in range(self._n) if token.color[j] == RED]
-        if not reds:
-            raise AssertionError("no red slot despite not all green")
-        if self._routing == "first":
-            return reds[0]
-        if self._routing == "most_stale":
-            return min(reds, key=lambda j: (token.G[j], j))
-        for step in range(1, self._n + 1):  # cyclic
-            j = (self._slot + step) % self._n
-            if token.color[j] == RED:
-                return j
-        raise AssertionError("unreachable")
-
-    def _halt_others(self):
-        others = [m for m in self._monitors if m != self.name]
-        return self.broadcast(others, None, kind=HALT_KIND, size_bits=1)
+            if code == "abort":
+                self.aborted = True
+            else:
+                self.detected = True
+                self.detected_cut = tuple(token.G)
+                self.detected_at = self.now
+            others = [m for m in self._monitors if m != self.name]
+            yield self.broadcast(others, None, kind=HALT_KIND, size_bits=1)
+            return
 
 
 class TokenVCGlue(StackGlue):
@@ -272,31 +342,17 @@ class TokenVCGlue(StackGlue):
       crash-swallowed token is regenerated from the sender's persisted
       copy;
     * a crash-restart re-enters the stack run loop, which resumes the
-      visit in progress from the held frame and the persisted
-      ``_accepted`` candidate (the Fig. 3 repaint loop is idempotent);
+      visit in progress from the held frame and the slot's persisted
+      accepted candidate (see :meth:`Fig3Slot.visit`);
     * with a :class:`~repro.detect.stack.FailureDetectorConfig`,
       permanent monitor death is survived too: the surviving monitors
       elect a takeover, regenerate the token under a new epoch, and
-      replay persisted ``_accepted`` candidates on re-visits so the
+      replay persisted accepted candidates on re-visits so the
       detected cut is unchanged.
     """
 
-    def _init_visit_state(self) -> None:
-        # The candidate accepted during the current visit, persisted so
-        # the repaint loop can resume after a crash mid-visit and so a
-        # re-visit by a regenerated token can replay it (see
-        # :mod:`repro.detect.stack.membership`).
-        self._accepted: tuple[int, ...] | None = None
-
-    # ------------------------------------------------------------------
     def _snapshot_frame(self, frame: TokenFrame) -> TokenFrame:
-        token: VCToken = frame.body
-        return TokenFrame(
-            frame.hop,
-            VCToken(G=list(token.G), color=list(token.color)),
-            frame.gid,
-            frame.epoch,
-        )
+        return TokenFrame(frame.hop, frame.body.copy(), frame.gid, frame.epoch)
 
     def _on_token_accepted(self, frame: TokenFrame) -> None:
         self.token_visits += 1
@@ -316,6 +372,12 @@ class TokenVCGlue(StackGlue):
         feeders = [app_name(int(m.removeprefix("mon-"))) for m in self._monitors]
         return peers + feeders
 
+    def _handle_frame(self, frame: TokenFrame):
+        """One (possibly resumed) token visit over the held frame."""
+        return (
+            yield from self._fig3.visit(self, frame.body, self._next_candidate)
+        )
+
     def _resolve_frame(self, frame: TokenFrame, code: str) -> None:
         token: VCToken = frame.body
         if code == "abort":
@@ -325,65 +387,12 @@ class TokenVCGlue(StackGlue):
             self.detected_cut = tuple(token.G)
             self.detected_at = self.now
         else:  # forward
-            target = self._next_red_slot(token)
+            target = self._fig3.next_red(token)
             self._begin_transfer(
                 self._monitors[target],
                 TokenFrame(frame.hop + 1, token, frame.gid, frame.epoch),
                 token.size_bits() + WORD_BITS,
             )
-
-    def _handle_frame(self, frame: TokenFrame):
-        """One (possibly resumed) token visit over the held frame.
-
-        Returns ``"halt"`` / ``"abort"`` / ``"detected"`` / ``"forward"``.
-        Safe to re-enter after a crash: every token mutation is in the
-        same atomic block as the inbox pop or persisted-attribute write
-        that justified it, and the repaint loop is idempotent.
-        """
-        token: VCToken = frame.body
-        slot = self._slot
-        while token.color[slot] == RED:
-            if (
-                self._accepted is not None
-                and self._accepted[slot] > token.G[slot]
-            ):
-                # A regenerated token re-presents a bound this monitor
-                # already advanced past: replay the persisted candidate
-                # instead of consuming fresh ones, so re-visits leave
-                # the candidate stream where the first visit left it.
-                token.G[slot] = self._accepted[slot]
-                token.color[slot] = GREEN
-                yield self.work(1)
-                continue
-            entry = yield from self._next_candidate()
-            if entry == "halt":
-                return "halt"
-            if entry is None:
-                # End of trace while eliminated: the WCP cannot hold.
-                return "abort"
-            cand = entry[0]
-            if cand[slot] > token.G[slot]:
-                token.G[slot] = cand[slot]
-                token.color[slot] = GREEN
-                self._accepted = cand
-            yield self.work(1)
-        candidate = self._accepted
-        # Repaint only when the token's bound for this slot is the one
-        # ``candidate`` justified — on a regenerated token installed at
-        # a green slot the persisted candidate may predate the bound,
-        # and repainting with it could eliminate states it cannot see.
-        if candidate is not None and token.G[slot] == candidate[slot]:
-            for j in range(self._n):
-                if j == slot:
-                    continue
-                if candidate[j] >= token.G[j]:
-                    token.G[j] = candidate[j]
-                    token.color[j] = RED
-                yield self.work(1)
-        yield self.work(self._n)
-        if token.all_green():
-            return "detected"
-        return "forward"
 
 
 register_glue(TokenVCMonitor, TokenVCGlue)
@@ -411,7 +420,7 @@ def detect(
     Builds a simulation with one snapshot feeder and one monitor per
     predicate process, injects the token, runs to quiescence, and reads
     the verdict off the monitor actors.  ``routing`` selects the
-    red-slot forwarding policy (see :attr:`TokenVCMonitor.ROUTINGS`).
+    red-slot forwarding policy (see :data:`ROUTINGS`).
 
     ``faults`` injects failures (see :mod:`repro.simulation.faults`);
     ``hardened`` selects the loss/crash-tolerant actors and defaults to
@@ -525,7 +534,7 @@ def detect(
     if use_hardened and degraded:
         extras.update(
             partial_cut_extras(
-                pids, [m._accepted for m in monitors], sim.crashed
+                pids, [m._fig3.accepted for m in monitors], sim.crashed
             )
         )
     return DetectionReport(

@@ -25,6 +25,7 @@ makespan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError
@@ -50,16 +51,17 @@ from repro.detect.stack import (
     register_glue,
     spawn_joiners,
 )
-from repro.detect.token_vc import VCToken, candidate_feed_items
+from repro.detect.token_vc import (
+    Fig3Slot,
+    VCToken,
+    candidate_feed_items,
+    receive_candidate,
+)
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.simulation.actors import Actor
 from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
-from repro.simulation.replay import (
-    CANDIDATE_KIND,
-    END_OF_TRACE_KIND,
-    SnapshotFeeder,
-)
+from repro.simulation.replay import SnapshotFeeder
 from repro.trace.computation import Computation
 from repro.trace.cuts import Cut
 
@@ -90,6 +92,9 @@ class GroupToken:
         """Group tag plus the token vectors."""
         return WORD_BITS + self.token.size_bits()
 
+    def copy(self) -> "GroupToken":
+        return GroupToken(self.group, self.token.copy())
+
 
 class GroupMonitor(Actor):
     """A Fig. 3 monitor restricted to in-group token travel.
@@ -108,6 +113,7 @@ class GroupMonitor(Actor):
         group_slots: frozenset[int],
     ) -> None:
         super().__init__(monitor_name(pid))
+        self._fig3 = Fig3Slot(slot, len(monitor_names))
         self._pid = pid
         self._slot = slot
         self._monitors = list(monitor_names)
@@ -121,18 +127,15 @@ class GroupMonitor(Actor):
             msg = yield self.receive(TOKEN_KIND, HALT_KIND)
             if msg.kind == HALT_KIND:
                 return
-            finished = yield from self._handle_token(msg.payload)
-            if finished:
-                return
-
-    def _handle_token(self, gtoken: GroupToken):
-        token = gtoken.token
-        slot = self._slot
-        self.token_visits += 1
-        candidate: tuple[int, ...] | None = None
-        while token.color[slot] == RED:
-            cmsg = yield self.receive(CANDIDATE_KIND, END_OF_TRACE_KIND)
-            if cmsg.kind == END_OF_TRACE_KIND:
+            gtoken: GroupToken = msg.payload
+            self.token_visits += 1
+            # As in TokenVCMonitor.run: a plain visit replays nothing.
+            assert gtoken.token.color[self._slot] == RED
+            self._fig3.accepted = None
+            code = yield from self._fig3.visit(
+                self, gtoken.token, partial(receive_candidate, self)
+            )
+            if code == "abort":
                 self.aborted = True
                 yield self.broadcast(
                     [m for m in self._monitors if m != self.name] + [LEADER_NAME],
@@ -140,33 +143,19 @@ class GroupMonitor(Actor):
                     kind=HALT_KIND,
                     size_bits=1,
                 )
-                return True
-            yield self.work(1)
-            cand = cmsg.payload
-            if cand[slot] > token.G[slot]:
-                token.G[slot] = cand[slot]
-                token.color[slot] = GREEN
-                candidate = cand
-        assert candidate is not None
-        for j in range(self._n):
-            if j == slot:
-                continue
-            yield self.work(1)
-            if candidate[j] >= token.G[j]:
-                token.G[j] = candidate[j]
-                token.color[j] = RED
-        yield self.work(self._n)
-        target = self._next_in_group_red(token)
-        dest = LEADER_NAME if target is None else self._monitors[target]
-        yield self.send(dest, gtoken, kind=TOKEN_KIND, size_bits=gtoken.size_bits())
-        return False
+                return
+            yield self.send(
+                self._next_holder(gtoken.token), gtoken, kind=TOKEN_KIND,
+                size_bits=gtoken.size_bits(),
+            )
 
-    def _next_in_group_red(self, token: VCToken) -> int | None:
+    def _next_holder(self, token: VCToken) -> str:
+        """The next red slot of this group (cyclic), else the leader."""
         for step in range(1, self._n + 1):
             j = (self._slot + step) % self._n
             if j in self._group_slots and token.color[j] == RED:
-                return j
-        return None
+                return self._monitors[j]
+        return LEADER_NAME
 
 
 class LeaderActor(Actor):
@@ -264,21 +253,8 @@ class GroupVCGlue(StackGlue):
     failure detector is configured.
     """
 
-    def _init_visit_state(self) -> None:
-        self._accepted: tuple[int, ...] | None = None
-
-    # ------------------------------------------------------------------
     def _snapshot_frame(self, frame: TokenFrame) -> TokenFrame:
-        gtoken: GroupToken = frame.body
-        return TokenFrame(
-            frame.hop,
-            GroupToken(
-                gtoken.group,
-                VCToken(G=list(gtoken.token.G), color=list(gtoken.token.color)),
-            ),
-            frame.gid,
-            frame.epoch,
-        )
+        return TokenFrame(frame.hop, frame.body.copy(), frame.gid, frame.epoch)
 
     def _on_token_accepted(self, frame: TokenFrame) -> None:
         self.token_visits += 1
@@ -302,56 +278,24 @@ class GroupVCGlue(StackGlue):
         feeders = [app_name(int(m.removeprefix("mon-"))) for m in self._monitors]
         return peers + [LEADER_NAME] + feeders
 
+    def _handle_frame(self, frame: TokenFrame):
+        """One (possibly crash-resumed) visit of the held group token."""
+        return (
+            yield from self._fig3.visit(
+                self, frame.body.token, self._next_candidate
+            )
+        )
+
     def _resolve_frame(self, frame: TokenFrame, code: str) -> None:
         if code == "abort":
             self.aborted = True
         else:  # forward: in group, or back to the leader
             gtoken: GroupToken = frame.body
-            target = self._next_in_group_red(gtoken.token)
-            dest = LEADER_NAME if target is None else self._monitors[target]
             self._begin_transfer(
-                dest,
+                self._next_holder(gtoken.token),
                 TokenFrame(frame.hop + 1, gtoken, frame.gid, frame.epoch),
                 gtoken.size_bits() + WORD_BITS,
             )
-
-    def _handle_frame(self, frame: TokenFrame):
-        """One (possibly crash-resumed) visit; ``"halt"``/``"abort"``/``"forward"``."""
-        token = frame.body.token
-        slot = self._slot
-        while token.color[slot] == RED:
-            if (
-                self._accepted is not None
-                and self._accepted[slot] > token.G[slot]
-            ):
-                # Replay the persisted acceptance for a regenerated
-                # token's re-visit (see token_vc._handle_frame).
-                token.G[slot] = self._accepted[slot]
-                token.color[slot] = GREEN
-                yield self.work(1)
-                continue
-            entry = yield from self._next_candidate()
-            if entry == "halt":
-                return "halt"
-            if entry is None:
-                return "abort"
-            cand = entry[0]
-            if cand[slot] > token.G[slot]:
-                token.G[slot] = cand[slot]
-                token.color[slot] = GREEN
-                self._accepted = cand
-            yield self.work(1)
-        candidate = self._accepted
-        if candidate is not None and token.G[slot] == candidate[slot]:
-            for j in range(self._n):
-                if j == slot:
-                    continue
-                if candidate[j] >= token.G[j]:
-                    token.G[j] = candidate[j]
-                    token.color[j] = RED
-                yield self.work(1)
-        yield self.work(self._n)
-        return "forward"
 
 
 class LeaderGlue(StackGlue):
@@ -380,16 +324,7 @@ class LeaderGlue(StackGlue):
 
     # ------------------------------------------------------------------
     def _snapshot_frame(self, frame: TokenFrame) -> TokenFrame:
-        gtoken: GroupToken = frame.body
-        return TokenFrame(
-            frame.hop,
-            GroupToken(
-                gtoken.group,
-                VCToken(G=list(gtoken.token.G), color=list(gtoken.token.color)),
-            ),
-            frame.gid,
-            frame.epoch,
-        )
+        return TokenFrame(frame.hop, frame.body.copy(), frame.gid, frame.epoch)
 
     def _fd_slot(self) -> int:
         return -1
@@ -597,7 +532,7 @@ def detect(
         extras.update(
             partial_cut_extras(
                 pids,
-                [getattr(m, "_accepted", None) for m in monitors],
+                [m._fig3.accepted for m in monitors],
                 sim.crashed,
             )
         )

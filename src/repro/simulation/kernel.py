@@ -17,18 +17,6 @@ corruption-marking / crash-restart, see :mod:`.faults`) draws from a
 *separate* generator derived from the same seed, so enabling faults
 never perturbs the latency stream, and a fault schedule is reproducible
 from ``(seed, plan)`` alone.
-
-Envelope interning: every send allocates a :class:`Message`, the
-dominant allocation of a protocol run.  When nothing outside the
-kernel can retain an envelope — no observers (tracers keep ``Message``
-references) and ``work_time_scale == 0`` (``Work`` never suspends an
-actor mid-message) — consumed envelopes park in a graveyard and are
-recycled for later sends, flushed to the free pool only at event
-boundaries so the consuming actor's synchronous slice always sees its
-fields intact.  Actors must copy any envelope field they need past
-their next *blocking* yield (``Receive``/``Sleep``); payloads are
-never recycled.  The pool changes allocation behaviour only — message
-contents, ordering and metrics are byte-identical either way.
 """
 
 from __future__ import annotations
@@ -165,13 +153,6 @@ class Kernel:
         self._last_fifo_delivery: dict[tuple[str, str], float] = {}
         self.metrics = MetricsBoard()
         self._profiler = profiler
-        # Envelope interning (see module docstring): free envelopes ready
-        # for reuse, plus a graveyard of consumed envelopes that become
-        # free only at the next event boundary.  Active only while no
-        # observer can retain a Message and Work never suspends a slice.
-        self._pool: list[Message] = []
-        self._graveyard: list[Message] = []
-        self._intern = work_time_scale == 0 and not self._observers
         self._faults = faults
         self._fault_rng = spawn_rng(seed, "faults") if faults is not None else None
         self._live_partitions: list[PartitionEvent] = []
@@ -198,13 +179,8 @@ class Kernel:
 
         Observers are called synchronously at every message send,
         delivery and consumption; they must not mutate simulation state.
-        Registering one permanently disables envelope interning, since
-        observers may retain the ``Message`` objects they are handed.
         """
         self._observers.append(observer)
-        self._intern = False
-        self._pool.clear()
-        self._graveyard.clear()
 
     def _notify(self, phase, message: Message) -> None:
         if not self._observers:
@@ -320,11 +296,6 @@ class Kernel:
                 )
             time, _seq, action, payload = pop(queue)
             self._time = time
-            if self._graveyard:
-                # Event boundary: every actor slice from the previous
-                # event has returned, so consumed envelopes are free.
-                self._pool.extend(self._graveyard)
-                self._graveyard.clear()
             _prof_t0 = (
                 self._profiler.start() if self._profiler is not None else 0.0
             )
@@ -348,9 +319,6 @@ class Kernel:
                                 f"exceeded max_steps={self._max_steps}; "
                                 f"likely livelock in a protocol"
                             )
-                        if self._graveyard:
-                            self._pool.extend(self._graveyard)
-                            self._graveyard.clear()
                         self._deliver(pop(queue)[3])  # type: ignore[arg-type]
             elif action == "resume":
                 name, value, incarnation = payload  # type: ignore[misc]
@@ -462,8 +430,6 @@ class Kernel:
             state.actor.metrics.adjust_space(-msg.size_bits)  # type: ignore[union-attr]
             self.metrics.record_channel_fault(msg.src, msg.dest, "lost_to_crash")
             self._notify_fault(msg, lost=True)
-        if self._intern:
-            self._graveyard.extend(state.mailbox)
         state.mailbox.clear()
         state.pending_receive = None
         state.block_epoch += 1
@@ -506,8 +472,6 @@ class Kernel:
                 message.src, message.dest, "lost_to_crash"
             )
             self._notify_fault(message, lost=True)
-            if self._intern:
-                self._graveyard.append(message)
             return
         self._messages_delivered += 1
         state.mailbox.append(message)
@@ -614,26 +578,7 @@ class Kernel:
     def _make_message(
         self, src: str, effect: Send, delivery: float, corrupted: bool = False
     ) -> Message:
-        """Build a delivery envelope, reusing a pooled one when possible.
-
-        Reuse mutates a frozen dataclass in place; that is sound only
-        because pooled envelopes are provably unreferenced (see the
-        module docstring's interning contract).
-        """
-        pool = self._pool
-        if pool:
-            msg = pool.pop()
-            set_field = object.__setattr__
-            set_field(msg, "seq", self._next_seq())
-            set_field(msg, "src", src)
-            set_field(msg, "dest", effect.dest)
-            set_field(msg, "kind", effect.kind)
-            set_field(msg, "payload", effect.payload)
-            set_field(msg, "size_bits", effect.size_bits)
-            set_field(msg, "sent_at", self._time)
-            set_field(msg, "delivered_at", delivery)
-            set_field(msg, "corrupted", corrupted)
-            return msg
+        """Build a delivery envelope."""
         return Message(
             seq=self._next_seq(),
             src=src,
@@ -728,10 +673,6 @@ class Kernel:
                 metrics.adjust_space(-msg.size_bits)
                 if self._observers:
                     self._notify(MessagePhase.CONSUMED, msg)
-                elif self._intern:
-                    # Parked until the next event boundary; the consuming
-                    # actor's synchronous slice still sees it intact.
-                    self._graveyard.append(msg)
                 return msg
         return None
 

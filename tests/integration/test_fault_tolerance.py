@@ -167,6 +167,63 @@ class TestPartitionHealAgreement:
             assert rep.extras["takeovers"] == 0
 
 
+class TestTakeoverLiveness:
+    """Heartbeat self-heal must end when a red slot's monitor is gone.
+
+    Each takeover regenerates the same token and forwards it to the dead
+    red slot again; these cells used to cycle through elections until
+    the kernel's max_steps (thousands of takeovers).  Consecutive
+    elections that regenerate an unchanged token now stop once they
+    reach ``max_idle_rounds``, so each run quiesces to ``degraded``."""
+
+    @pytest.mark.parametrize(
+        "detector,seed,groups,plan,dead",
+        [
+            ("token_vc", 6, None, "crash:mon-2:5", 2),
+            ("token_vc", 3, None, "drop:token:0.1,crash:mon-4:8", 4),
+            ("token_vc", 4, None, "drop:token:0.1,crash:mon-4:8", 4),
+            ("token_vc_multi", 0, 3, "drop:token:0.1,crash:mon-2:5", 2),
+            ("token_vc_multi", 3, 1, "drop:token:0.1,crash:mon-2:5", 2),
+            ("token_vc_multi", 3, 3, "drop:token:0.1,crash:mon-2:5", 2),
+            ("token_vc_multi", 7, 3, "drop:token:0.1,crash:mon-2:5", 2),
+        ],
+    )
+    def test_dead_red_slot_degrades(self, detector, seed, groups, plan, dead):
+        comp = random_computation(
+            6, 8, seed=seed, predicate_density=0.3,
+            plant_final_cut=seed % 3 != 0,
+        )
+        wcp = WeakConjunctivePredicate.of_flags(range(6))
+        options = {"groups": groups} if groups else {}
+        rep = run_detector(
+            detector, comp, wcp, seed=seed, faults=FaultPlan.parse(plan),
+            failure_detector=FailureDetectorConfig(), **options,
+        )
+        assert rep.outcome == "degraded"
+        assert rep.extras["unobservable"] == [dead]
+        assert rep.sim.steps <= 50_000
+
+    def test_token_lost_before_first_acceptance_degrades(self):
+        """The injected token reaches mon-0 only after an election has
+        moved it to epoch 1, so it is discarded as stale and no monitor
+        ever holds a frame: elections that find nothing are unchanged
+        too, and the run degrades instead of electing forever."""
+        comp = random_computation(
+            4, 6, seed=5, predicate_density=0.3, plant_final_cut=True
+        )
+        wcp = WeakConjunctivePredicate.of_flags(range(4))
+        plan = FaultPlan.parse(
+            "drop:token:0.2,dup:*:0.1,crash:mon-0:3:20,crash:mon-2:8:30"
+        )
+        rep = run_detector(
+            "token_vc", comp, wcp, seed=5, faults=plan,
+            failure_detector=FailureDetectorConfig(),
+        )
+        assert rep.outcome == "degraded"
+        assert rep.extras["takeovers"] == 0
+        assert rep.sim.steps <= 50_000
+
+
 class TestHardenedWithoutFaults:
     """The hardened protocol is a refinement: with zero faults it is
     the plain algorithm plus acks, so verdict and cut are unchanged."""

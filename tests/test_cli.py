@@ -134,6 +134,19 @@ class TestDetectJson:
         assert code in (0, 1, 2)
         assert doc["extras"]["elections"] >= 1
 
+    def test_self_heal_with_dead_red_slot_exits_degraded(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "t6.json"
+        main(["generate", "--processes", "6", "--sends", "8", "--seed", "6",
+              "--density", "0.3", "--plant-final-cut", "--out", str(path)])
+        capsys.readouterr()
+        code = main(["detect", str(path), "--detector", "token_vc",
+                     "--seed", "6", "--faults", "crash:mon-2:5",
+                     "--self-heal"])
+        assert code == 2
+        assert "unobservable: [2]" in capsys.readouterr().out
+
     def test_self_heal_requires_faults(self, trace_file):
         with pytest.raises(SystemExit, match="--self-heal requires"):
             main(["detect", str(trace_file), "--self-heal"])
