@@ -16,15 +16,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
-from repro.detect.base import (
-    TOKEN_KIND,
-    DetectionReport,
-    monitor_name,
-)
+from repro.detect.base import DetectionReport, monitor_name
 from repro.detect.direct_dep import TOKEN_BITS, build_monitors
+from repro.detect.stack import TokenInjector
 from repro.detect.token_vc import TokenVCMonitor, VCToken
 from repro.predicates.conjunctive import WeakConjunctivePredicate
-from repro.simulation.actors import Actor
 from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
 from repro.trace.cuts import Cut
@@ -37,18 +33,6 @@ __all__ = ["app_names", "run_live_token_vc", "run_live_direct_dep"]
 def app_names(num_processes: int) -> list[str]:
     """Canonical application actor names, indexed by pid."""
     return [f"app-{pid}" for pid in range(num_processes)]
-
-
-class _Injector(Actor):
-    def __init__(self, dest: str, payload: object, size_bits: int) -> None:
-        super().__init__("token-injector")
-        self._dest = dest
-        self._payload = payload
-        self._bits = size_bits
-
-    def run(self):
-        yield self.send(self._dest, self._payload, kind=TOKEN_KIND,
-                        size_bits=self._bits)
 
 
 def run_live_token_vc(
@@ -69,7 +53,7 @@ def run_live_token_vc(
     for app in apps:
         kernel.add_actor(app)
     token = VCToken.initial(wcp.n)
-    kernel.add_actor(_Injector(names[0], token, token.size_bits()))
+    kernel.add_actor(TokenInjector(names[0], token, token.size_bits()))
     sim = kernel.run()
     winner = next((m for m in monitors if m.detected), None)
     extras = {
@@ -114,7 +98,7 @@ def run_live_direct_dep(
         kernel.add_actor(mon)
     for app in apps:
         kernel.add_actor(app)
-    kernel.add_actor(_Injector(monitor_name(0), None, TOKEN_BITS))
+    kernel.add_actor(TokenInjector(monitor_name(0), None, TOKEN_BITS))
     sim = kernel.run()
     winner = next((m for m in monitors if m.detected), None)
     extras = {

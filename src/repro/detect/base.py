@@ -29,7 +29,6 @@ __all__ = [
     "monitor_name",
     "app_name",
     "outcome_label",
-    "partial_cut_extras",
 ]
 
 # Message kinds on monitor <-> monitor channels.
@@ -72,35 +71,6 @@ def outcome_label(detected: bool, degraded: bool) -> str:
     if degraded:
         return "degraded"
     return "not_detected"
-
-
-def partial_cut_extras(
-    pids: tuple[int, ...] | list[int],
-    accepted: list,
-    crashed: tuple[str, ...],
-) -> dict[str, Any]:
-    """Observability report for a *degraded* hardened run.
-
-    ``accepted`` holds each slot's persisted accepted candidate (the
-    monitor's full candidate vector, or ``None`` if it never accepted
-    one); ``crashed`` names the actors still down when the run ended.
-    A pid is **unobservable** when its feeder or monitor was among them:
-    no further candidate from that conjunct can ever be observed, so no
-    verdict over it is possible and the best the protocol can report is
-    the partial cut it had committed to.  ``partial_cut`` gives that
-    commitment per slot — the accepted interval index, or ``None``.
-    """
-    dead = set(crashed)
-    unobservable = [
-        pid
-        for pid in pids
-        if app_name(pid) in dead or monitor_name(pid) in dead
-    ]
-    partial = [
-        cand[slot] if cand is not None else None
-        for slot, cand in enumerate(accepted)
-    ]
-    return {"unobservable": unobservable, "partial_cut": partial}
 
 
 @dataclass(frozen=True, slots=True)

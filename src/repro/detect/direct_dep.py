@@ -33,6 +33,7 @@ words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.common.types import WORD_BITS
@@ -47,30 +48,21 @@ from repro.detect.base import (
     app_name,
     monitor_name,
 )
+from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    ReliableFeeder,
-    ReliableInjector,
     RetryPolicy,
     StackGlue,
     Tagged,
     TokenFrame,
-    TokenInjector,
     harden,
     register_glue,
-    spawn_joiners,
 )
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.simulation.actors import Actor
-from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
-from repro.simulation.replay import (
-    CANDIDATE_KIND,
-    END_OF_TRACE_KIND,
-    FeedItem,
-    SnapshotFeeder,
-)
+from repro.simulation.replay import CANDIDATE_KIND, END_OF_TRACE_KIND, FeedItem
 from repro.trace.computation import Computation
 from repro.trace.cuts import Cut
 from repro.trace.snapshots import DDSnapshot, dd_snapshots
@@ -113,6 +105,28 @@ def snapshot_bits(snapshot: DDSnapshot) -> int:
     return (1 + 2 * len(snapshot.deps)) * WORD_BITS
 
 
+def answer_poll(monitor, poll: Poll) -> PollResponse:
+    """Fig. 5: the polled ``monitor``'s state change and its answer.
+
+    A poll whose clock reaches the monitor's candidate ``G`` eliminates
+    it: the monitor turns red at the poll's clock.  A monitor that turns
+    red here splices itself into the red chain right after the poller
+    (adopting the poll's ``next_red``) and answers "became red".  The
+    §4.5 head rule: a monitor ``holding`` the token is already on the
+    chain, at its head, so it keeps its own pointer (adopting the
+    poller's would orphan its tail) and answers "no change"; it searches
+    again before passing the token on.
+    """
+    spliced = False
+    if poll.clock >= monitor.G:
+        spliced = monitor.color == GREEN and not monitor.holding
+        monitor.color = RED
+        monitor.G = poll.clock
+        if spliced:
+            monitor.next_red = poll.next_red
+    return PollResponse(became_red=spliced)
+
+
 def dd_feed_items(
     computation: Computation,
     predicates,
@@ -151,6 +165,8 @@ class DirectDepMonitor(Actor):
         self.G = 0
         self.color = RED
         self.next_red: int | None = initial_next_red
+        # The §4.5 head rule's flag (see answer_poll); §4 never sets it.
+        self.holding = False
         self.detected = False
         self.detected_at: float | None = None
         self.aborted = False
@@ -172,19 +188,10 @@ class DirectDepMonitor(Actor):
     # ------------------------------------------------------------------
     def _handle_poll(self, msg):
         """Fig. 5: update (G, color), splice into the chain if newly red."""
-        poll: Poll = msg.payload
         yield self.work(1)
-        old_color = self.color
-        if poll.clock >= self.G:
-            self.color = RED
-            self.G = poll.clock
-        if self.color == RED and old_color == GREEN:
-            self.next_red = poll.next_red
-            response = PollResponse(became_red=True)
-        else:
-            response = PollResponse(became_red=False)
         yield self.send(
-            msg.src, response, kind=POLL_RESPONSE_KIND, size_bits=RESPONSE_BITS
+            msg.src, answer_poll(self, msg.payload), kind=POLL_RESPONSE_KIND,
+            size_bits=RESPONSE_BITS,
         )
 
     # ------------------------------------------------------------------
@@ -327,18 +334,9 @@ class DirectDepGlue(StackGlue):
         tagged: Tagged = msg.payload
         cached = self._poll_replies.get(tagged.tag)
         if cached is None:
-            poll: Poll = tagged.payload
             # Atomic: the state change and the response cache entry
             # commit together, so a crash can never re-apply the splice.
-            old_color = self.color
-            if poll.clock >= self.G:
-                self.color = RED
-                self.G = poll.clock
-            if self.color == RED and old_color == GREEN:
-                self.next_red = poll.next_red
-                cached = PollResponse(became_red=True)
-            else:
-                cached = PollResponse(became_red=False)
+            cached = answer_poll(self, tagged.payload)
             self._poll_replies[tagged.tag] = cached
             yield self.work(1)
         yield self.send(
@@ -444,26 +442,13 @@ register_glue(DirectDepMonitor, DirectDepGlue)
 HardenedDirectDepMonitor = harden(DirectDepMonitor)
 
 
-def build_monitors(
-    num_processes: int,
-    hardened: bool = False,
-    retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
-    failure_detector: FailureDetectorConfig | None = None,
-) -> list[DirectDepMonitor]:
-    """Monitors with the initial red chain 0 -> 1 -> ... -> N-1 -> null."""
-    if hardened:
-        return [
-            HardenedDirectDepMonitor(
-                pid,
-                num_processes,
-                initial_next_red=(pid + 1 if pid + 1 < num_processes else None),
-                retry=retry,
-                failure_detector=failure_detector,
-            )
-            for pid in range(num_processes)
-        ]
+def build_monitors(num_processes: int, make=DirectDepMonitor) -> list:
+    """Monitors with the initial red chain 0 -> 1 -> ... -> N-1 -> null.
+
+    ``make(pid, num_processes, initial_next_red=...)`` builds each one.
+    """
     return [
-        DirectDepMonitor(
+        make(
             pid,
             num_processes,
             initial_next_red=(pid + 1 if pid + 1 < num_processes else None),
@@ -492,110 +477,46 @@ def detect(
     ``faults`` / ``hardened`` / ``retry`` / ``failure_detector`` behave
     as in :func:`repro.detect.token_vc.detect`.
     """
-    wcp.check_against(computation.num_processes)
-    big_n = computation.num_processes
-    use_hardened = (faults is not None) if hardened is None else hardened
-    if use_hardened and retry is None:
-        retry = AdaptiveRetryPolicy(seed=seed)
-    kernel = Kernel(
-        channel_model=channel_model, seed=seed, observers=observers, faults=faults
-    )
-    monitors = build_monitors(
-        big_n, hardened=use_hardened, retry=retry,
+    run = OnlineRun(
+        computation, wcp, seed=seed, channel_model=channel_model,
+        observers=observers, faults=faults, hardened=hardened, retry=retry,
         failure_detector=failure_detector,
     )
-    for mon in monitors:
-        kernel.add_actor(mon)
-    items_by_pid = dd_feed_items(computation, wcp.predicate_map())
-    feeders = []
-    for pid in range(big_n):
-        items = items_by_pid[pid]
-        if use_hardened:
-            feeder = ReliableFeeder(
-                app_name(pid), monitor_name(pid), items, spacing, retry
-            )
-        else:
-            feeder = SnapshotFeeder(app_name(pid), monitor_name(pid), items, spacing)
-        feeders.append(feeder)
-        kernel.add_actor(feeder)
-    injector = None
-    if use_hardened:
-        injector = ReliableInjector(
-            monitor_name(0),
-            TokenFrame(hop=1, body=None),
-            TOKEN_BITS + WORD_BITS,
-            retry,
-        )
-        kernel.add_actor(injector)
-    else:
-        kernel.add_actor(TokenInjector(monitor_name(0), None, TOKEN_BITS))
-    joiners = spawn_joiners(
-        kernel, faults, [monitor_name(pid) for pid in range(big_n)],
-        hardened=use_hardened, config=failure_detector, retry=retry,
-    )
-    sim = kernel.run()
+    return _run_chain(run, DirectDepMonitor, "direct_dep", computation, wcp, spacing)
 
+
+def _run_chain(
+    run: OnlineRun,
+    core: type,
+    detector: str,
+    computation: Computation,
+    wcp: WeakConjunctivePredicate,
+    spacing: float,
+    counters: tuple[str, ...] = (),
+) -> DetectionReport:
+    """Run the red chain over ``N`` monitors of class ``core`` (§4 or
+    §4.5): every process fed, the empty token injected at monitor 0.
+
+    ``counters`` names per-monitor counters summed into the extras.  A
+    degraded run's partial cut is one scalar clock per process, over
+    all ``N`` (0, no candidate yet, reads as ``None``).
+    """
+    big_n = computation.num_processes
+    monitors = build_monitors(big_n, partial(run.monitor, core))
+    run.feed(range(big_n), dd_feed_items(computation, wcp.predicate_map()), spacing)
+    run.inject(None, TOKEN_BITS)
+    run.start()
+
+    extras = {"polls": run.kernel.metrics.messages_of_kind(POLL_KIND)}
+    for name in counters:
+        extras[name] = sum(getattr(m, name) for m in monitors)
     winner = next((m for m in monitors if m.detected), None)
-    aborted = any(m.aborted for m in monitors)
-    actor_metrics = kernel.metrics.actors()
-    extras = {
-        "token_hops": sum(
-            m.sent_by_kind.get(TOKEN_KIND, 0)
-            for name, m in actor_metrics.items()
-            if name.startswith("mon-")
-        ),
-        "polls": kernel.metrics.messages_of_kind(POLL_KIND),
-        "token_visits": sum(m.token_visits for m in monitors),
-        "aborted": aborted,
-        "hardened": use_hardened,
-    }
-    if use_hardened:
-        participants = [*monitors, *feeders, injector]
-        extras["gave_up"] = any(
-            getattr(a, "gave_up", False) for a in participants
+    if winner is None:
+        return run.report(
+            detector, extras, partial_cut=[m.G if m.G > 0 else None for m in monitors]
         )
-        extras["halt_incomplete"] = any(
-            getattr(a, "halt_incomplete", False) for a in participants
-        )
-        extras["elections"] = sum(
-            getattr(m, "elections", 0) for m in monitors
-        )
-        extras["takeovers"] = sum(
-            getattr(m, "takeovers", 0) for m in monitors
-        )
-        if joiners:
-            extras["joiners"] = len(joiners)
-            extras["joined"] = sum(1 for j in joiners if j.joined)
-            extras["synced"] = sum(1 for j in joiners if j.synced)
-    if winner is not None:
-        full = Cut(
-            tuple(range(big_n)), tuple(monitors[p].G for p in range(big_n))
-        )
-        return DetectionReport(
-            detector="direct_dep",
-            detected=True,
-            cut=full.project(wcp.pids),
-            full_cut=full,
-            detection_time=winner.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
-        )
-    degraded = faults is not None and not aborted
-    if use_hardened and degraded:
-        dead = set(sim.crashed)
-        extras["unobservable"] = [
-            p
-            for p in range(big_n)
-            if app_name(p) in dead or monitor_name(p) in dead
-        ]
-        # The §4 candidate is a scalar clock per process (0 = none yet).
-        extras["partial_cut"] = [m.G if m.G > 0 else None for m in monitors]
-    return DetectionReport(
-        detector="direct_dep",
-        detected=False,
-        sim=sim,
-        metrics=kernel.metrics,
-        extras=extras,
-        degraded=degraded,
+    full = Cut(tuple(range(big_n)), tuple(m.G for m in monitors))
+    return run.report(
+        detector, extras, cut=full.project(wcp.pids), full_cut=full,
+        detection_time=winner.detected_at,
     )

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.common.types import WORD_BITS
 from repro.detect.base import (
     GREEN,
     HALT_KIND,
@@ -40,7 +39,6 @@ from repro.detect.base import (
     RED,
     TOKEN_KIND,
     DetectionReport,
-    app_name,
     monitor_name,
 )
 from repro.detect.direct_dep import (
@@ -49,32 +47,22 @@ from repro.detect.direct_dep import (
     TOKEN_BITS,
     DirectDepGlue,
     Poll,
-    PollResponse,
-    dd_feed_items,
+    _run_chain,
+    answer_poll,
 )
+from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    ReliableFeeder,
-    ReliableInjector,
     RetryPolicy,
-    TokenFrame,
-    TokenInjector,
     harden,
     register_glue,
-    spawn_joiners,
 )
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.simulation.actors import Actor
-from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
-from repro.simulation.replay import (
-    CANDIDATE_KIND,
-    END_OF_TRACE_KIND,
-    SnapshotFeeder,
-)
+from repro.simulation.replay import CANDIDATE_KIND, END_OF_TRACE_KIND
 from repro.trace.computation import Computation
-from repro.trace.cuts import Cut
 from repro.trace.snapshots import DDSnapshot
 
 if TYPE_CHECKING:  # annotation-only: cores stay decoupled from the fault layer
@@ -101,11 +89,8 @@ class ParallelDDMonitor(Actor):
         self.next_red: int | None = initial_next_red
         self.pending: int | None = None  # pre-validated candidate clock
         self.has_token = False
-        # True while this monitor occupies the chain-head position (from
-        # entering its token phase until it passes the token on).  A
-        # head that is repainted red by a poll must NOT adopt the
-        # poller's chain pointer — it is already on the chain, at the
-        # head — otherwise its own tail would be orphaned.
+        # True while this monitor is the chain head (from entering its
+        # token phase until it passes the token on): see answer_poll.
         self.holding = False
         self.exhausted = False
         self.detected = False
@@ -265,26 +250,11 @@ class ParallelDDMonitor(Actor):
 
     # ------------------------------------------------------------------
     def _respond_poll(self, msg):
-        """Fig. 5, plus the head rule for the parallel variant.
-
-        A monitor in its token phase is the chain *head*; if a poll
-        repaints it red it must keep its own chain pointer and answer
-        "no change" — it is already on the chain and will retry before
-        releasing the token.
-        """
-        poll: Poll = msg.payload
+        """Fig. 5 with the §4.5 head rule (see :func:`answer_poll`)."""
         yield self.work(1)
-        old_color = self.color
-        if poll.clock >= self.G:
-            self.color = RED
-            self.G = poll.clock
-        if self.color == RED and old_color == GREEN and not self.holding:
-            self.next_red = poll.next_red
-            response = PollResponse(became_red=True)
-        else:
-            response = PollResponse(became_red=False)
         yield self.send(
-            msg.src, response, kind=POLL_RESPONSE_KIND, size_bits=RESPONSE_BITS
+            msg.src, answer_poll(self, msg.payload), kind=POLL_RESPONSE_KIND,
+            size_bits=RESPONSE_BITS,
         )
 
     def _halt_others(self):
@@ -335,122 +305,12 @@ def detect(
     :class:`HardenedParallelDDMonitor` (see :class:`ParallelDDGlue` for
     why hardened runs serialise the §4.5 search).
     """
-    wcp.check_against(computation.num_processes)
-    big_n = computation.num_processes
-    use_hardened = (faults is not None) if hardened is None else hardened
-    if use_hardened and retry is None:
-        retry = AdaptiveRetryPolicy(seed=seed)
-    kernel = Kernel(
-        channel_model=channel_model, seed=seed, observers=observers, faults=faults
+    run = OnlineRun(
+        computation, wcp, seed=seed, channel_model=channel_model,
+        observers=observers, faults=faults, hardened=hardened, retry=retry,
+        failure_detector=failure_detector,
     )
-    monitor_cls = HardenedParallelDDMonitor if use_hardened else ParallelDDMonitor
-    options = (
-        {"retry": retry, "failure_detector": failure_detector}
-        if use_hardened
-        else {}
-    )
-    monitors = [
-        monitor_cls(
-            pid,
-            big_n,
-            initial_next_red=(pid + 1 if pid + 1 < big_n else None),
-            **options,
-        )
-        for pid in range(big_n)
-    ]
-    for mon in monitors:
-        kernel.add_actor(mon)
-    items_by_pid = dd_feed_items(computation, wcp.predicate_map())
-    feeders = []
-    for pid in range(big_n):
-        items = items_by_pid[pid]
-        if use_hardened:
-            feeder = ReliableFeeder(
-                app_name(pid), monitor_name(pid), items, spacing, retry
-            )
-        else:
-            feeder = SnapshotFeeder(app_name(pid), monitor_name(pid), items, spacing)
-        feeders.append(feeder)
-        kernel.add_actor(feeder)
-    injector = None
-    if use_hardened:
-        injector = ReliableInjector(
-            monitor_name(0),
-            TokenFrame(hop=1, body=None),
-            TOKEN_BITS + WORD_BITS,
-            retry,
-        )
-        kernel.add_actor(injector)
-    else:
-        kernel.add_actor(TokenInjector(monitor_name(0), None, TOKEN_BITS))
-    joiners = spawn_joiners(
-        kernel, faults, [monitor_name(pid) for pid in range(big_n)],
-        hardened=use_hardened, config=failure_detector, retry=retry,
-    )
-    sim = kernel.run()
-
-    winner = next((m for m in monitors if m.detected), None)
-    aborted = any(m.aborted for m in monitors)
-    actor_metrics = kernel.metrics.actors()
-    extras = {
-        "token_hops": sum(
-            m.sent_by_kind.get(TOKEN_KIND, 0)
-            for name, m in actor_metrics.items()
-            if name.startswith("mon-")
-        ),
-        "polls": kernel.metrics.messages_of_kind(POLL_KIND),
-        "token_visits": sum(m.token_visits for m in monitors),
-        "proactive_searches": sum(m.proactive_searches for m in monitors),
-        "aborted": aborted,
-        "hardened": use_hardened,
-    }
-    if use_hardened:
-        participants = [*monitors, *feeders, injector]
-        extras["gave_up"] = any(
-            getattr(a, "gave_up", False) for a in participants
-        )
-        extras["halt_incomplete"] = any(
-            getattr(a, "halt_incomplete", False) for a in participants
-        )
-        extras["elections"] = sum(
-            getattr(m, "elections", 0) for m in monitors
-        )
-        extras["takeovers"] = sum(
-            getattr(m, "takeovers", 0) for m in monitors
-        )
-        if joiners:
-            extras["joiners"] = len(joiners)
-            extras["joined"] = sum(1 for j in joiners if j.joined)
-            extras["synced"] = sum(1 for j in joiners if j.synced)
-    if winner is not None:
-        full = Cut(
-            tuple(range(big_n)), tuple(monitors[p].G for p in range(big_n))
-        )
-        return DetectionReport(
-            detector="direct_dep_parallel",
-            detected=True,
-            cut=full.project(wcp.pids),
-            full_cut=full,
-            detection_time=winner.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
-        )
-    degraded = faults is not None and not aborted
-    if use_hardened and degraded:
-        dead = set(sim.crashed)
-        extras["unobservable"] = [
-            p
-            for p in range(big_n)
-            if app_name(p) in dead or monitor_name(p) in dead
-        ]
-        # The §4 candidate is a scalar clock per process (0 = none yet).
-        extras["partial_cut"] = [m.G if m.G > 0 else None for m in monitors]
-    return DetectionReport(
-        detector="direct_dep_parallel",
-        detected=False,
-        sim=sim,
-        metrics=kernel.metrics,
-        extras=extras,
-        degraded=degraded,
+    return _run_chain(
+        run, ParallelDDMonitor, "direct_dep_parallel", computation, wcp,
+        spacing, counters=("proactive_searches",),
     )

@@ -572,6 +572,11 @@ class SharedCausalityDispatcher:
     # The multiplexed path (token_vc)
     # ------------------------------------------------------------------
     def _run_mux(self) -> ServiceReport:
+        if self._faults is not None and self._faults.joins:
+            raise ConfigurationError(
+                "the multiplexed service has no membership layer to admit a "
+                "joiner; drop the join: clauses from the fault plan"
+            )
         comp = self._computation
         entries = self._entries
         total = len(entries)

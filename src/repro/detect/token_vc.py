@@ -43,31 +43,21 @@ from repro.detect.base import (
     DetectionReport,
     app_name,
     monitor_name,
-    partial_cut_extras,
 )
+from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    ReliableFeeder,
-    ReliableInjector,
     RetryPolicy,
     StackGlue,
     TokenFrame,
-    TokenInjector,
     harden,
     register_glue,
-    spawn_joiners,
 )
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.simulation.actors import Actor
-from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
-from repro.simulation.replay import (
-    CANDIDATE_KIND,
-    END_OF_TRACE_KIND,
-    FeedItem,
-    SnapshotFeeder,
-)
+from repro.simulation.replay import CANDIDATE_KIND, END_OF_TRACE_KIND, FeedItem
 from repro.trace.computation import Computation
 from repro.trace.cuts import Cut
 from repro.trace.snapshots import vc_snapshots
@@ -432,116 +422,38 @@ def detect(
     heartbeat failure detection with token takeover (self-healing
     against *permanent* monitor death — see ``docs/faults.md``).
     """
-    wcp.check_against(computation.num_processes)
+    run = OnlineRun(
+        computation, wcp, seed=seed, channel_model=channel_model,
+        observers=observers, faults=faults, hardened=hardened, retry=retry,
+        failure_detector=failure_detector,
+    )
     pids = wcp.pids
-    n = wcp.n
-    use_hardened = (faults is not None) if hardened is None else hardened
-    if use_hardened and retry is None:
-        retry = AdaptiveRetryPolicy(seed=seed)
-    kernel = Kernel(
-        channel_model=channel_model, seed=seed, observers=observers, faults=faults
-    )
     names = [monitor_name(pid) for pid in pids]
-    if use_hardened:
-        monitors = [
-            HardenedTokenVCMonitor(
-                pid, slot, names, routing=routing, retry=retry,
-                failure_detector=failure_detector,
-            )
-            for slot, pid in enumerate(pids)
-        ]
-    else:
-        monitors = [
-            TokenVCMonitor(pid, slot, names, routing=routing)
-            for slot, pid in enumerate(pids)
-        ]
-    for mon in monitors:
-        kernel.add_actor(mon)
-    items_by_pid = candidate_feed_items(computation, wcp.predicate_map(), pids)
-    feeders = []
-    for pid in pids:
-        items = items_by_pid[pid]
-        if use_hardened:
-            feeder = ReliableFeeder(
-                app_name(pid), monitor_name(pid), items, spacing, retry
-            )
-        else:
-            feeder = SnapshotFeeder(app_name(pid), monitor_name(pid), items, spacing)
-        feeders.append(feeder)
-        kernel.add_actor(feeder)
-    injector = None
-    if use_hardened:
-        token = VCToken.initial(n)
-        injector = ReliableInjector(
-            names[0],
-            TokenFrame(hop=1, body=token),
-            token.size_bits() + WORD_BITS,
-            retry,
-        )
-        kernel.add_actor(injector)
-    else:
-        token = VCToken.initial(n)
-        kernel.add_actor(TokenInjector(names[0], token, token.size_bits()))
-    joiners = spawn_joiners(
-        kernel, faults, names,
-        hardened=use_hardened, config=failure_detector, retry=retry,
+    monitors = [
+        run.monitor(TokenVCMonitor, pid, slot, names, routing=routing)
+        for slot, pid in enumerate(pids)
+    ]
+    run.feed(
+        pids, candidate_feed_items(computation, wcp.predicate_map(), pids),
+        spacing,
     )
-    sim = kernel.run()
+    token = VCToken.initial(wcp.n)
+    run.inject(token, token.size_bits())
+    run.start()
 
-    winner = next((m for m in monitors if m.detected), None)
-    aborted = any(m.aborted for m in monitors)
-    actor_metrics = kernel.metrics.actors()
-    token_hops = sum(
-        m.sent_by_kind.get(TOKEN_KIND, 0)
-        for name, m in actor_metrics.items()
-        if name.startswith("mon-")
-    )
     extras = {
-        "token_hops": token_hops,
-        "token_visits": sum(m.token_visits for m in monitors),
-        "candidates_sent": sum(
-            m.sent_by_kind.get(CANDIDATE_KIND, 0) for m in actor_metrics.values()
-        ),
-        "aborted": aborted,
-        "hardened": use_hardened,
+        "candidates_sent": run.kernel.metrics.messages_of_kind(CANDIDATE_KIND)
     }
-    if use_hardened:
-        participants = [*monitors, *feeders, injector]
-        extras["gave_up"] = any(
-            getattr(a, "gave_up", False) for a in participants
-        )
-        extras["halt_incomplete"] = any(
-            getattr(a, "halt_incomplete", False) for a in participants
-        )
-        extras["elections"] = sum(m.elections for m in monitors)
-        extras["takeovers"] = sum(m.takeovers for m in monitors)
-    if joiners:
-        extras["joiners"] = len(joiners)
-        extras["joined"] = sum(1 for j in joiners if j.joined)
-        extras["synced"] = sum(1 for j in joiners if j.synced)
+    winner = next((m for m in monitors if m.detected), None)
     if winner is not None:
-        assert winner.detected_cut is not None
-        return DetectionReport(
-            detector="token_vc",
-            detected=True,
-            cut=Cut(pids, winner.detected_cut),
+        return run.report(
+            "token_vc", extras, cut=Cut(pids, winner.detected_cut),
             detection_time=winner.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
         )
-    degraded = faults is not None and not aborted
-    if use_hardened and degraded:
-        extras.update(
-            partial_cut_extras(
-                pids, [m._fig3.accepted for m in monitors], sim.crashed
-            )
-        )
-    return DetectionReport(
-        detector="token_vc",
-        detected=False,
-        sim=sim,
-        metrics=kernel.metrics,
-        extras=extras,
-        degraded=degraded,
+    return run.report(
+        "token_vc", extras,
+        partial_cut=[
+            None if m._fig3.accepted is None else m._fig3.accepted[slot]
+            for slot, m in enumerate(monitors)
+        ],
     )

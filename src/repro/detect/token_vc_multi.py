@@ -38,18 +38,16 @@ from repro.detect.base import (
     DetectionReport,
     app_name,
     monitor_name,
-    partial_cut_extras,
 )
+from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    ReliableFeeder,
     RetryPolicy,
     StackGlue,
     TokenFrame,
     harden,
     register_glue,
-    spawn_joiners,
 )
 from repro.detect.token_vc import (
     Fig3Slot,
@@ -59,9 +57,7 @@ from repro.detect.token_vc import (
 )
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.simulation.actors import Actor
-from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
-from repro.simulation.replay import SnapshotFeeder
 from repro.trace.computation import Computation
 from repro.trace.cuts import Cut
 
@@ -187,35 +183,20 @@ class LeaderActor(Actor):
         live: list[int | None] = [None] * n
         elim: list[int] = [0] * n  # states <= elim[i] are eliminated; 0 = none
         while True:
-            self.rounds += 1
-            red_slots = [i for i in range(n) if live[i] is None or live[i] <= elim[i]]
-            if not red_slots:
-                self.detected = True
-                self.detected_cut = tuple(live)  # type: ignore[arg-type]
-                self.detected_at = self.now
+            tokens = self._round_tokens(live, elim)
+            if self.detected:
                 yield self.broadcast(
                     self._monitors, None, kind=HALT_KIND, size_bits=1
                 )
                 return
-            red_groups = sorted({self._group_of[i] for i in red_slots})
-            for g in red_groups:
-                token = VCToken(G=[0] * n, color=[RED] * n)
-                for i in range(n):
-                    if live[i] is not None and live[i] > elim[i]:
-                        token.G[i] = live[i]
-                        token.color[i] = GREEN
-                    else:
-                        token.G[i] = elim[i]
-                        token.color[i] = RED
-                gtoken = GroupToken(g, token)
-                entry = min(i for i in red_slots if self._group_of[i] == g)
+            for entry, gtoken in tokens:
                 yield self.send(
                     self._monitors[entry],
                     gtoken,
                     kind=TOKEN_KIND,
                     size_bits=gtoken.size_bits(),
                 )
-            outstanding = len(red_groups)
+            outstanding = len(tokens)
             while outstanding:
                 msg = yield self.receive(TOKEN_KIND, HALT_KIND)
                 if msg.kind == HALT_KIND:
@@ -224,6 +205,35 @@ class LeaderActor(Actor):
                 yield self.work(n)
                 self._merge(returned, live, elim)
                 outstanding -= 1
+
+    def _round_tokens(
+        self, live: list[int | None], elim: list[int]
+    ) -> list[tuple[int, GroupToken]]:
+        """Start one merge round over the merged cut ``(live, elim)``.
+
+        Counts the round.  With no red slot left, declares detection and
+        returns no tokens; otherwise returns ``(entry_slot, token)`` for
+        each group with a red slot, entering at its lowest red slot.
+        Each group gets its own token object.
+        """
+        self.rounds += 1
+        n = self._n
+        red = [live[i] is None or live[i] <= elim[i] for i in range(n)]
+        if not any(red):
+            self.detected = True
+            self.detected_cut = tuple(live)  # type: ignore[arg-type]
+            self.detected_at = self.now
+            return []
+        G = [elim[i] if red[i] else live[i] for i in range(n)]
+        color = [RED if red[i] else GREEN for i in range(n)]
+        entry: dict[int, int] = {}
+        for i in range(n):
+            if red[i]:
+                entry.setdefault(self._group_of[i], i)
+        return [
+            (slot, GroupToken(g, VCToken(G=list(G), color=list(color))))
+            for g, slot in sorted(entry.items())
+        ]
 
     def _merge(
         self, gtoken: GroupToken, live: list[int | None], elim: list[int]
@@ -354,37 +364,16 @@ class LeaderGlue(StackGlue):
         """Start a new merge round once every group token has returned."""
         if self._outstanding:
             return False
-        n = self._n
-        self.rounds += 1
-        red_slots = [
-            i
-            for i in range(n)
-            if self._live[i] is None or self._live[i] <= self._elim[i]
-        ]
-        if not red_slots:
-            self.detected = True
-            self.detected_cut = tuple(self._live)  # type: ignore[arg-type]
-            self.detected_at = self.now
-            return True
-        red_groups = sorted({self._group_of[i] for i in red_slots})
-        for g in red_groups:
-            token = VCToken(G=[0] * n, color=[RED] * n)
-            for i in range(n):
-                if self._live[i] is not None and self._live[i] > self._elim[i]:
-                    token.G[i] = self._live[i]
-                    token.color[i] = GREEN
-                else:
-                    token.G[i] = self._elim[i]
-                    token.color[i] = RED
-            gtoken = GroupToken(g, token)
-            entry = min(i for i in red_slots if self._group_of[i] == g)
+        tokens = self._round_tokens(self._live, self._elim)
+        for entry, gtoken in tokens:
+            g = gtoken.group
             last_hop = self._seen_hops.get(g, (0, 0))[1]
             self._begin_transfer(
                 self._monitors[entry],
                 TokenFrame(last_hop + 1, gtoken, gid=g, epoch=self._epoch),
                 gtoken.size_bits() + WORD_BITS,
             )
-        self._outstanding = set(red_groups)
+        self._outstanding = {gtoken.group for _, gtoken in tokens}
         return True
 
 
@@ -434,113 +423,36 @@ def detect(
     ``faults`` / ``hardened`` / ``retry`` / ``failure_detector`` behave
     as in :func:`repro.detect.token_vc.detect`.
     """
-    wcp.check_against(computation.num_processes)
+    run = OnlineRun(
+        computation, wcp, seed=seed, channel_model=channel_model,
+        observers=observers, faults=faults, hardened=hardened, retry=retry,
+        failure_detector=failure_detector,
+    )
     pids = wcp.pids
-    n = wcp.n
-    use_hardened = (faults is not None) if hardened is None else hardened
-    if use_hardened and retry is None:
-        retry = AdaptiveRetryPolicy(seed=seed)
-    group_sets, group_of = _partition(n, groups)
-    kernel = Kernel(
-        channel_model=channel_model, seed=seed, observers=observers, faults=faults
-    )
+    group_sets, group_of = _partition(wcp.n, groups)
     names = [monitor_name(pid) for pid in pids]
-    if use_hardened:
-        monitors = [
-            HardenedGroupMonitor(
-                pid, slot, names, group_sets[group_of[slot]], retry=retry,
-                failure_detector=failure_detector,
-            )
-            for slot, pid in enumerate(pids)
-        ]
-        leader: LeaderActor = HardenedLeader(
-            group_sets, group_of, names, retry=retry,
-            failure_detector=failure_detector,
-        )
-    else:
-        monitors = [
-            GroupMonitor(pid, slot, names, group_sets[group_of[slot]])
-            for slot, pid in enumerate(pids)
-        ]
-        leader = LeaderActor(group_sets, group_of, names)
-    for mon in monitors:
-        kernel.add_actor(mon)
-    kernel.add_actor(leader)
-    items_by_pid = candidate_feed_items(computation, wcp.predicate_map(), pids)
-    feeders = []
-    for pid in pids:
-        items = items_by_pid[pid]
-        if use_hardened:
-            feeder = ReliableFeeder(
-                app_name(pid), monitor_name(pid), items, spacing, retry
-            )
-        else:
-            feeder = SnapshotFeeder(app_name(pid), monitor_name(pid), items, spacing)
-        feeders.append(feeder)
-        kernel.add_actor(feeder)
-    joiners = spawn_joiners(
-        kernel, faults, names,
-        hardened=use_hardened, config=failure_detector, retry=retry,
+    monitors = [
+        run.monitor(GroupMonitor, pid, slot, names, group_sets[group_of[slot]])
+        for slot, pid in enumerate(pids)
+    ]
+    # The leader sends each round's group tokens itself: nothing to inject.
+    leader = run.host(LeaderActor, group_sets, group_of, names)
+    run.feed(
+        pids, candidate_feed_items(computation, wcp.predicate_map(), pids),
+        spacing,
     )
-    sim = kernel.run()
+    run.start()
 
-    aborted = any(m.aborted for m in monitors)
-    actor_metrics = kernel.metrics.actors()
-    extras = {
-        "groups": len(group_sets),
-        "rounds": leader.rounds,
-        "token_hops": sum(
-            m.sent_by_kind.get(TOKEN_KIND, 0)
-            for name, m in actor_metrics.items()
-            if name.startswith("mon-") or name == LEADER_NAME
-        ),
-        "token_visits": sum(m.token_visits for m in monitors),
-        "aborted": aborted,
-        "hardened": use_hardened,
-    }
-    if use_hardened:
-        participants = [leader, *monitors, *feeders]
-        extras["gave_up"] = any(
-            getattr(a, "gave_up", False) for a in participants
-        )
-        extras["halt_incomplete"] = any(
-            getattr(a, "halt_incomplete", False) for a in participants
-        )
-        extras["elections"] = sum(
-            getattr(a, "elections", 0) for a in (leader, *monitors)
-        )
-        extras["takeovers"] = sum(
-            getattr(a, "takeovers", 0) for a in (leader, *monitors)
-        )
-        if joiners:
-            extras["joiners"] = len(joiners)
-            extras["joined"] = sum(1 for j in joiners if j.joined)
-            extras["synced"] = sum(1 for j in joiners if j.synced)
+    extras = {"groups": len(group_sets), "rounds": leader.rounds}
     if leader.detected:
-        assert leader.detected_cut is not None
-        return DetectionReport(
-            detector="token_vc_multi",
-            detected=True,
-            cut=Cut(pids, leader.detected_cut),
+        return run.report(
+            "token_vc_multi", extras, cut=Cut(pids, leader.detected_cut),
             detection_time=leader.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
         )
-    degraded = faults is not None and not aborted
-    if use_hardened and degraded:
-        extras.update(
-            partial_cut_extras(
-                pids,
-                [m._fig3.accepted for m in monitors],
-                sim.crashed,
-            )
-        )
-    return DetectionReport(
-        detector="token_vc_multi",
-        detected=False,
-        sim=sim,
-        metrics=kernel.metrics,
-        extras=extras,
-        degraded=degraded,
+    return run.report(
+        "token_vc_multi", extras,
+        partial_cut=[
+            None if m._fig3.accepted is None else m._fig3.accepted[slot]
+            for slot, m in enumerate(monitors)
+        ],
     )

@@ -151,6 +151,16 @@ class TestWideServiceExactness:
         _assert_matches_reference("token_vc", comp, entries, seed, LOSS_ONLY)
 
 
+class TestMuxJoin:
+    def test_join_clause_rejected(self):
+        """The multiplexed service has no membership layer to admit a
+        joiner; a ``join:`` clause is refused, not silently dropped."""
+        comp = random_computation(4, 4, seed=2, plant_final_cut=True)
+        plan = FaultPlan.parse("join:mon-9:6:mon-0")
+        with pytest.raises(ConfigurationError, match="membership layer"):
+            run_service("token_vc", comp, _entries([(0, 1), (1, 2)]), faults=plan)
+
+
 class TestRegistry:
     """Unit semantics of the predicate registry."""
 

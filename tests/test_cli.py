@@ -212,6 +212,20 @@ class TestDetectTraceOut:
         assert "[repro] token_vc:" in capsys.readouterr().err
 
 
+class TestServiceCommand:
+    def test_join_clause_exits_three(self, trace_file, tmp_path, capsys):
+        preds = tmp_path / "preds.json"
+        preds.write_text(json.dumps([
+            {"id": "a", "pids": [0, 1]}, {"id": "b", "pids": [1, 2]},
+        ]))
+        code = main([
+            "service", str(trace_file), "--predicates-file", str(preds),
+            "--faults", "join:mon-9:6:mon-0",
+        ])
+        assert code == 3
+        assert "membership layer" in capsys.readouterr().err
+
+
 class TestReport:
     def make_trace(self, trace_file, tmp_path, extra=()):
         out = tmp_path / "run.jsonl"

@@ -48,6 +48,30 @@ def test_checker_flags_a_planted_violation():
     ]
 
 
+def test_checker_flags_a_planted_harness():
+    """A driver that builds its own feeder, injector or joiners is
+    reported however it names them; other stack names are not."""
+    tree = ast.parse(
+        "from repro.detect.stack import ReliableFeeder, harden\n"
+        "import repro.detect.stack as stack\n"
+        "stack.TokenInjector('mon-0', None, 1)\n"
+        "def detect(kernel):\n"
+        "    kernel.add_actor(ReliableFeeder('app-0', 'mon-0', [], 1.0))\n"
+        "    harden(object)\n"
+    )
+    assert check_layering.harness_names(tree) == [
+        (1, "ReliableFeeder"),
+        (3, "TokenInjector"),
+        (5, "ReliableFeeder"),
+    ]
+    checked = {
+        p.relative_to(check_layering.DETECT).as_posix()
+        for p in check_layering.harness_modules()
+    }
+    assert "token_vc.py" in checked and "runner.py" in checked
+    assert not checked & {"launch.py", "service/dispatcher.py"}
+
+
 def test_every_online_core_is_covered():
     """The module list actually contains the four token cores — the
     lint cannot silently go vacuous if files move."""

@@ -20,6 +20,13 @@ alongside ``__init__``/``runner``.  The old ``reliability`` /
 ``failuredetect`` back-compat shims are gone; importing them is now an
 ``ImportError``, not a layering question.
 
+A second rule keeps the run harness single: only ``launch.py`` (the
+drivers' :class:`~repro.detect.launch.OnlineRun`) and
+``service/dispatcher.py`` (the multiplexed service's own launch) may
+name the feeders, injectors and joiner spawner in
+:data:`HARNESS_NAMES`.  Every other module under ``detect/`` and
+``detect/service/`` is checked, ``runner`` and ``__init__`` included.
+
 Exit status 1 with a per-violation report, 0 when clean.  Run directly
 or via ``tests/test_layering.py`` (tier-1) and the CI lint job.
 """
@@ -43,6 +50,16 @@ FORBIDDEN_PREFIXES = (
     "repro.detect.stack.gossip",
     "repro.detect.stack.compose",
 )
+
+
+#: The run harness: who feeds the monitors, sends the first token and
+#: admits joiners.
+HARNESS_NAMES = frozenset(
+    {"ReliableFeeder", "ReliableInjector", "TokenInjector", "spawn_joiners"}
+)
+
+#: The modules that launch runs (relative to ``detect/``).
+LAUNCHERS = {"launch.py", "service/dispatcher.py"}
 
 
 def _is_forbidden(module: str) -> bool:
@@ -92,15 +109,53 @@ def check_file(path: Path) -> list[str]:
     ]
 
 
+def _detect_modules() -> list[Path]:
+    return sorted([*DETECT.glob("*.py"), *DETECT.glob("service/*.py")])
+
+
 def core_modules() -> list[Path]:
-    candidates = list(DETECT.glob("*.py")) + list(DETECT.glob("service/*.py"))
-    return sorted(p for p in candidates if p.stem not in EXEMPT)
+    return [p for p in _detect_modules() if p.stem not in EXEMPT]
+
+
+def harness_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """Every line that names a :data:`HARNESS_NAMES` member: as a name,
+    an attribute, or an imported name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found.extend((node.lineno, n) for n in names if n in HARNESS_NAMES)
+    return sorted(found)
+
+
+def check_harness(path: Path) -> list[str]:
+    rel = path.relative_to(REPO)
+    return [
+        f"{rel}:{line}: names {name!r}; launch runs through "
+        f"repro.detect.launch.OnlineRun"
+        for line, name in harness_names(ast.parse(path.read_text()))
+    ]
+
+
+def harness_modules() -> list[Path]:
+    return [
+        p for p in _detect_modules()
+        if p.relative_to(DETECT).as_posix() not in LAUNCHERS
+    ]
 
 
 def main() -> int:
     problems: list[str] = []
     for path in core_modules():
         problems.extend(check_file(path))
+    for path in harness_modules():
+        problems.extend(check_harness(path))
     if problems:
         print("layering violations:", file=sys.stderr)
         for line in problems:
