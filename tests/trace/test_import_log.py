@@ -76,6 +76,11 @@ class TestParseErrors:
             ("send 0 m1 1\nsend 0 m1 1", "sent twice"),
             ("internal 0 bogus", "unexpected token"),
             ("internal 0 @x", "bad timestamp"),
+            ("internal 0 @nan", "line 1: bad timestamp '@nan'"),
+            ("internal 0 @NaN", "line 1: bad timestamp '@NaN'"),
+            ("internal 0 @inf", "line 1: bad timestamp '@inf'"),
+            ("internal 0\ninternal 0 @-inf", "line 2: bad timestamp '@-inf'"),
+            ("send 0 m1 1 @Infinity", "line 1: bad timestamp '@Infinity'"),
             ("internal 0 @1 @2", "duplicate @time"),
             ("init 0 @5", "no @time"),
             ("", "no events"),

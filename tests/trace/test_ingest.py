@@ -1,12 +1,14 @@
 """Trace ingest: what the decoder and the validators reject, and how.
 
 The table below drives every check in :class:`Event`,
-:class:`ProcessTrace`, ``Computation._index_messages``, the acyclicity
-check and ``Computation._check_times`` through the JSON decoder, so the
-same documents pin both the check and the exception type a caller sees:
+:class:`ProcessTrace`, the message matcher, the acyclicity check and
+the send/receive time check through the JSON decoder, so the same
+documents pin both the check and the exception type a caller sees:
 checks inside one process's event list surface as
 :class:`SerializationError` (naming the process and event), whole-trace
-checks as :class:`InvalidComputationError`.
+checks as :class:`InvalidComputationError`.  The differential fuzz at
+the end holds the decoder's one-pass checks (``Event._decoded``) to the
+hand-built path's: same verdict, same values, same error text.
 """
 
 import copy
@@ -14,6 +16,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common import InvalidComputationError, SerializationError
 from repro.detect import run_detector
@@ -256,3 +259,194 @@ class TestDecoding:
     def test_process_trace_still_validates_times(self):
         with pytest.raises(InvalidComputationError, match="nondecreasing"):
             ProcessTrace((Event.internal(time=2.0), Event.internal(time=1.0)))
+
+
+class TestSharedUpdates:
+    def test_equal_updates_share_one_mapping_per_process(self):
+        comp = loads(dumps(random_computation(3, 6, seed=4, predicate_density=0.5)))
+        for trace in comp.processes:
+            by_value: dict[str, set[int]] = {}
+            for event in trace.events:
+                if event.updates:
+                    by_value.setdefault(repr(dict(event.updates)), set()).add(
+                        id(event.updates)
+                    )
+            assert by_value and all(len(ids) == 1 for ids in by_value.values())
+
+    def test_mappings_a_reader_can_tell_apart_stay_apart(self):
+        values = [True, 1, 1.0, -0.0, 0.0, True, -0.0, math.nan, math.nan]
+        document = doc([dict(INTERNAL, updates={"x": v}) for v in values])
+        for comp in (computation_from_dict(document), loads(json.dumps(document))):
+            updates = [e.updates for e in comp.processes[0].events]
+            assert [repr(u["x"]) for u in updates] == [repr(v) for v in values]
+            assert updates[5] is updates[0] and updates[6] is updates[3]
+            distinct = {id(u) for u in updates[:5]} | {id(updates[7]), id(updates[8])}
+            assert len(distinct) == 7
+            with pytest.raises(TypeError):
+                updates[0]["x"] = False  # type: ignore[index]
+
+    def test_decoded_updates_do_not_alias_the_document(self):
+        document = doc([dict(INTERNAL, updates={"x": 1})])
+        comp = computation_from_dict(document)
+        document["processes"][0]["events"][0]["updates"]["x"] = 2
+        assert comp.event(0, 0).updates == {"x": 1}
+
+
+class TestMessageRecords:
+    def test_records_are_built_on_first_read(self):
+        comp = loads(dumps(random_computation(4, 6, seed=8, plant_final_cut=True)))
+        wcp = WeakConjunctivePredicate.of_flags(range(4))
+        for detector in ("token_vc", "direct_dep"):
+            assert run_detector(detector, comp, wcp, seed=1).detected
+        assert comp._messages is None  # detection never reads them
+        records = comp.messages
+        assert records is comp.messages
+        assert len(records) == sum(
+            e.kind is EventKind.SEND for t in comp.processes for e in t.events
+        )
+
+    def test_records_are_in_receive_order(self):
+        document = doc(
+            [send(5, 1), recv(9, 1)],
+            [recv(5, 0), send(9, 0)],
+        )
+        comp = computation_from_dict(document)
+        assert [(r.msg_id, r.sender, r.send_index, r.receiver, r.recv_index)
+                for r in comp.messages.values()] == [(9, 1, 1, 0, 1), (5, 0, 0, 1, 0)]
+
+
+# -- differential fuzz: the decoder against Event(...) / Computation(...) --
+ABSENT = object()  # the mutation deletes the field
+
+#: Field -> the values one mutation may give it.
+MUTATIONS = {
+    "msg_id": [True, False, 1.0, 2.5, "3", None, -1, 0, 7, 10**6,
+               math.nan, math.inf, -math.inf, ABSENT],
+    "peer": [True, 1.0, "1", None, -1, 0, 1, 9, math.nan, math.inf, ABSENT],
+    "time": [True, 2.0, 2.5, "3", None, -1, 0, 10**6, -0.0,
+             math.nan, math.inf, -math.inf, 10**400, -10**400, ABSENT],
+    "updates": [None, [["flag", True]], [1], "x", {}, {"flag": -0.0},
+                {"flag": 0.0}, {"flag": 1}, {"flag": 1.0}, {"flag": True},
+                {"flag": [1]}, {"flag": math.nan}, {3: True}, ABSENT],
+    "kind": ["warp", "", "internal", "send", "recv"],
+}
+
+
+def label(value):
+    """A mutation's test id; an int beyond the float range by length."""
+    if value is ABSENT:
+        return "absent"
+    text = repr(value)
+    return text if len(text) < 30 else f"{text[:4]}...({len(text)} chars)"
+
+
+#: Flag values of the base documents: equal pairs a reader tells apart.
+FLAG_VALUES = [True, False, 1, 0, 1.0, 0.0, -0.0]
+KIND_BY_NAME = {kind.value: kind for kind in EventKind}
+
+
+@st.composite
+def documents(draw):
+    """A valid document whose update values mix ``True``/``1``/``1.0``
+    and ``0.0``/``-0.0`` within each process."""
+    comp = random_computation(
+        draw(st.integers(2, 4)),
+        draw(st.integers(0, 4)),
+        seed=draw(st.integers(0, 10_000)),
+        predicate_density=draw(st.sampled_from([0.3, 1.0])),
+        plant_final_cut=draw(st.booleans()),
+    )
+    document = computation_to_dict(comp)
+    for proc in document["processes"]:
+        for entry in proc["events"]:
+            if "updates" in entry:
+                entry["updates"] = {"flag": draw(st.sampled_from(FLAG_VALUES))}
+    return document
+
+
+def hand_built(document):
+    """``document`` built through ``Event(...)``, ``ProcessTrace(...)``
+    and ``Computation(...)``: the computation, or ``(error type, the
+    text the decoder's error must contain)``."""
+    traces = []
+    for pid, proc in enumerate(document["processes"]):
+        events = []
+        for index, entry in enumerate(proc["events"]):
+            try:
+                kind = KIND_BY_NAME.get(entry["kind"])
+                if kind is None:
+                    raise ValueError(f"unknown event kind {entry['kind']!r}")
+                events.append(Event(
+                    kind, entry.get("msg_id"), entry.get("peer"),
+                    entry.get("updates", {}), entry.get("time"),
+                ))
+            except (TypeError, ValueError) as exc:
+                return SerializationError, f"process {pid} event {index}: {exc}"
+        try:
+            traces.append(ProcessTrace(tuple(events), proc["initial_vars"]))
+        except ValueError as exc:
+            return SerializationError, f"process {pid}: {exc}"
+    try:
+        return Computation(traces)
+    except InvalidComputationError as exc:
+        return InvalidComputationError, str(exc)
+
+
+def fingerprint(comp):
+    """Everything a reader can tell apart, ``True``/``1`` included (by
+    repr, since two NaN objects are unequal)."""
+    return (
+        [
+            (
+                [(e.kind, repr(e.msg_id), repr(e.peer), repr(dict(e.updates)),
+                  repr(e.time)) for e in trace.events],
+                repr(dict(trace.initial_vars)),
+            )
+            for trace in comp.processes
+        ],
+        list(comp.messages.items()),
+        list(comp.causal_runs()),
+    )
+
+
+class TestDifferentialFuzz:
+    @pytest.mark.parametrize(
+        "field, value",
+        [(field, value) for field, values in MUTATIONS.items() for value in values],
+        ids=[
+            f"{field}={label(value)}"
+            for field, values in MUTATIONS.items()
+            for value in values
+        ],
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_decoder_agrees_with_hand_built(self, field, value, data):
+        document = data.draw(documents())
+        where = [
+            (pid, index)
+            for pid, proc in enumerate(document["processes"])
+            for index in range(len(proc["events"]))
+        ]
+        if where:
+            pid, index = data.draw(st.sampled_from(where))
+            entry = document["processes"][pid]["events"][index]
+            if value is ABSENT:
+                entry.pop(field, None)
+            else:
+                entry[field] = copy.deepcopy(value)
+        text = json.dumps(document)
+        for decode, source, hand_source in (
+            (computation_from_dict, document, document),
+            # JSON turns int keys into strings: hand-build what loads reads.
+            (loads, text, json.loads(text)),
+        ):
+            expected = hand_built(hand_source)
+            if isinstance(expected, Computation):
+                assert fingerprint(decode(source)) == fingerprint(expected)
+            else:
+                error, message = expected
+                with pytest.raises(error) as exc:
+                    decode(source)
+                assert type(exc.value) is error
+                assert message in str(exc.value)
