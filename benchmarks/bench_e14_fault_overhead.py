@@ -10,7 +10,6 @@ fault-free workloads the hardened single-token protocol must
 """
 
 from repro.analysis import run_e14_fault_overhead
-from repro.detect.stack import AdaptiveRetryPolicy, RetryPolicy
 from repro.detect.runner import run_detector
 from repro.predicates import WeakConjunctivePredicate
 from repro.trace.generators import random_computation
@@ -118,50 +117,4 @@ def bench_e14_invariant_monitor_overhead(benchmark):
     assert ratio <= 1.05 or watched_s - plain_s <= 0.25, (
         f"invariant monitors cost {(ratio - 1) * 100:.1f}% wall time "
         "at zero faults (budget: 5% or 250ms absolute)"
-    )
-
-
-def bench_e14_adaptive_vs_fixed_retry(benchmark):
-    """Adaptive retransmission must be free when nothing is lost.
-
-    The RTT estimator only changes *when* retransmission timers fire;
-    at zero faults every ack beats its timer, so the adaptive and fixed
-    policies must produce the same cut and stay within 5% of each other
-    on every paper-unit axis (messages, bits, simulated detection time).
-    """
-
-    def measure():
-        rows = []
-        for n, m in SIZES:
-            for seed in SEEDS:
-                comp = random_computation(
-                    n, m, seed=seed, predicate_density=0.3,
-                    plant_final_cut=True,
-                )
-                wcp = WeakConjunctivePredicate.of_flags(tuple(range(n)))
-                fixed = run_detector(
-                    "token_vc", comp, wcp, seed=seed, hardened=True,
-                    retry=RetryPolicy(),
-                )
-                adaptive = run_detector(
-                    "token_vc", comp, wcp, seed=seed, hardened=True,
-                    retry=AdaptiveRetryPolicy(seed=seed),
-                )
-                assert fixed.detected and adaptive.detected
-                assert fixed.cut == adaptive.cut
-                rows.append((fixed, adaptive))
-        return rows
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    worst = 0.0
-    for fixed, adaptive in rows:
-        f_tot = fixed.metrics.snapshot()["totals"]
-        a_tot = adaptive.metrics.snapshot()["totals"]
-        for axis in ("messages", "bits"):
-            worst = max(worst, a_tot[axis] / f_tot[axis])
-        worst = max(worst, adaptive.detection_time / fixed.detection_time)
-    print(f"\nE14 adaptive/fixed zero-fault ratio: worst {worst:.3f}")
-    assert worst <= 1.05, (
-        f"adaptive retransmission cost {(worst - 1) * 100:.1f}% over the "
-        "fixed policy at zero faults (budget: 5%)"
     )

@@ -7,6 +7,7 @@ error messages.  They raise :class:`~repro.common.errors.ConfigurationError`
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 from repro.common.errors import ConfigurationError
@@ -16,6 +17,7 @@ __all__ = [
     "require_positive",
     "require_non_negative",
     "require_in_range",
+    "require_finite",
     "require_length",
 ]
 
@@ -44,6 +46,28 @@ def require_in_range(value: float, low: float, high: float, name: str) -> float:
     """Validate ``low <= value <= high`` and return ``value``."""
     if not (low <= value <= high):
         raise ConfigurationError(f"{name} must be in [{low}, {high}], got {value!r}")
+    return value
+
+
+def require_finite(
+    value: float, name: str, low: float = 0.0, *, strict: bool = False
+) -> float:
+    """Validate that ``value`` is a finite number ``>= low`` (``> low``
+    when ``strict``) and return it.
+
+    NaN compares false with everything, so a bare ``value < low`` check
+    lets it through; this one rejects NaN, the infinities and ints
+    beyond the float range.
+    """
+    try:
+        finite = math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite or (value <= low if strict else value < low):
+        bound = f"> {low:g}" if strict else f">= {low:g}"
+        raise ConfigurationError(
+            f"{name} must be a finite number {bound}, got {value!r}"
+        )
     return value
 
 

@@ -52,7 +52,6 @@ from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    RetryPolicy,
     StackGlue,
     Tagged,
     TokenFrame,
@@ -467,7 +466,7 @@ def detect(
     observers: list | None = None,
     faults: FaultPlan | None = None,
     hardened: bool | None = None,
-    retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+    retry: AdaptiveRetryPolicy | None = None,
     failure_detector: FailureDetectorConfig | None = None,
 ) -> DetectionReport:
     """Run the §4 algorithm on a recorded computation.

@@ -54,7 +54,6 @@ from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    RetryPolicy,
     harden,
     register_glue,
 )
@@ -295,7 +294,7 @@ def detect(
     observers: list | None = None,
     faults: FaultPlan | None = None,
     hardened: bool | None = None,
-    retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+    retry: AdaptiveRetryPolicy | None = None,
     failure_detector: FailureDetectorConfig | None = None,
 ) -> DetectionReport:
     """Run the §4.5 parallel direct-dependence algorithm.

@@ -37,7 +37,6 @@ from repro.detect.stack import (
     FailureDetectorConfig,
     ReliableFeeder,
     ReliableInjector,
-    RetryPolicy,
     TokenFrame,
     TokenInjector,
     harden,
@@ -81,7 +80,7 @@ class OnlineRun:
         observers: list | None,
         faults: FaultPlan | None,
         hardened: bool | None,
-        retry: RetryPolicy | AdaptiveRetryPolicy | None,
+        retry: AdaptiveRetryPolicy | None,
         failure_detector: FailureDetectorConfig | None,
     ) -> None:
         wcp.check_against(computation.num_processes)

@@ -59,7 +59,6 @@ from repro.detect.stack import (
     AdaptiveRetryPolicy,
     ReliableFeeder,
     ReliableInjector,
-    RetryPolicy,
     StackGlue,
     TokenFrame,
     harden,
@@ -535,7 +534,7 @@ class SharedCausalityDispatcher:
         routing: str = "cyclic",
         observers: list | None = None,
         faults: "FaultPlan | None" = None,
-        retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+        retry: AdaptiveRetryPolicy | None = None,
         **detector_options: object,
     ) -> None:
         registry.check_against(computation.num_processes)

@@ -5,7 +5,7 @@ The hardened detectors are built from three layers (see ``DESIGN.md``
 
 * :mod:`~repro.detect.stack.transport` — layer 1: sequenced app
   streams, hop-acked token frames, tagged exactly-once requests,
-  reliable halt, pluggable fixed/adaptive retry policies;
+  reliable halt, one RTT-adaptive retry policy;
 * :mod:`~repro.detect.stack.membership` — layer 2: failure detection
   and epoch-numbered takeover elections, an opt-in middleware over the
   transport.  Two interchangeable membership protocols: all-to-all
@@ -65,7 +65,6 @@ from repro.detect.stack.transport import (
     ReliableEndpoint,
     ReliableFeeder,
     ReliableInjector,
-    RetryPolicy,
     Sequenced,
     Tagged,
     TokenFrame,
@@ -113,7 +112,6 @@ __all__ = [
     "Sequenced",
     "TokenFrame",
     "Tagged",
-    "RetryPolicy",
     "AdaptiveRetryPolicy",
     "AdaptiveSchedule",
     "CandidateInbox",

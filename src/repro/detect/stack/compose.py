@@ -43,7 +43,6 @@ from repro.detect.stack.membership import (
 from repro.detect.stack.transport import (
     AdaptiveRetryPolicy,
     ReliableEndpoint,
-    RetryPolicy,
     TokenFrame,
 )
 
@@ -85,7 +84,7 @@ class StackedMonitor(FailureDetectorMixin, ReliableEndpoint):
 
     def _stack_init(
         self,
-        retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+        retry: AdaptiveRetryPolicy | None = None,
         failure_detector: FailureDetectorConfig | None = None,
     ) -> None:
         """Initialise both stack layers (call once from ``__init__``)."""
@@ -188,7 +187,7 @@ class StackGlue:
     def __init__(
         self,
         *args,
-        retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+        retry: AdaptiveRetryPolicy | None = None,
         failure_detector: FailureDetectorConfig | None = None,
         **kwargs,
     ) -> None:

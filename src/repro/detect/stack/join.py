@@ -55,7 +55,6 @@ from repro.detect.stack.membership import (
 from repro.detect.stack.transport import (
     AdaptiveRetryPolicy,
     ReliableEndpoint,
-    RetryPolicy,
 )
 from repro.simulation.actors import Actor
 
@@ -83,7 +82,7 @@ class StandbyMonitor(FailureDetectorMixin, ReliableEndpoint, Actor):
         seed_slot: int,
         *,
         config: FailureDetectorConfig,
-        retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+        retry: AdaptiveRetryPolicy | None = None,
     ) -> None:
         super().__init__(name)
         if config is None or config.membership != "gossip":
@@ -244,7 +243,7 @@ def spawn_joiners(
     *,
     hardened: bool,
     config: FailureDetectorConfig | None,
-    retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+    retry: AdaptiveRetryPolicy | None = None,
 ) -> list[StandbyMonitor]:
     """Realize a fault plan's join events as standby monitors.
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.common.types import WORD_BITS
+from repro.common.validation import require_finite
 from repro.detect.base import HALT_KIND, TOKEN_KIND
 from repro.detect.stack.gossip import (
     ALIVE,
@@ -157,20 +158,12 @@ class FailureDetectorConfig:
     gossip_timeout: float | None = None
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ConfigurationError(
-                f"heartbeat_interval must be > 0, got {self.heartbeat_interval}"
-            )
-        if self.suspicion_after < self.heartbeat_interval:
-            raise ConfigurationError(
-                "suspicion_after must be >= heartbeat_interval"
-            )
-        if self.grace <= 0:
-            raise ConfigurationError(f"grace must be > 0, got {self.grace}")
-        if self.election_window <= 0:
-            raise ConfigurationError(
-                f"election_window must be > 0, got {self.election_window}"
-            )
+        require_finite(self.heartbeat_interval, "heartbeat_interval", strict=True)
+        require_finite(
+            self.suspicion_after, "suspicion_after", self.heartbeat_interval
+        )
+        require_finite(self.grace, "grace", strict=True)
+        require_finite(self.election_window, "election_window", strict=True)
         if self.max_idle_rounds < 1:
             raise ConfigurationError("max_idle_rounds must be >= 1")
         if self.membership not in ("heartbeat", "gossip"):
@@ -182,14 +175,10 @@ class FailureDetectorConfig:
             raise ConfigurationError(
                 f"gossip_fanout must be >= 1, got {self.gossip_fanout}"
             )
-        if self.gossip_interval is not None and self.gossip_interval <= 0:
-            raise ConfigurationError(
-                f"gossip_interval must be > 0, got {self.gossip_interval}"
-            )
-        if self.gossip_timeout is not None and self.gossip_timeout <= 0:
-            raise ConfigurationError(
-                f"gossip_timeout must be > 0, got {self.gossip_timeout}"
-            )
+        if self.gossip_interval is not None:
+            require_finite(self.gossip_interval, "gossip_interval", strict=True)
+        if self.gossip_timeout is not None:
+            require_finite(self.gossip_timeout, "gossip_timeout", strict=True)
 
     @property
     def tick_interval(self) -> float:

@@ -33,11 +33,12 @@ attributes: :meth:`~repro.simulation.actors.Actor.restart` re-enters
 ``run``, which resumes from wherever the persisted state says the
 protocol was.
 
-Retransmission is bounded by :class:`RetryPolicy.max_attempts`; under
-any fault schedule with eventual delivery the bound is never reached
-(each retry succeeds independently with the channel's delivery
-probability), and without eventual delivery it converts a livelock into
-a reported ``degraded`` outcome.
+Retransmission follows one schedule, :class:`AdaptiveRetryPolicy`, and
+is bounded by its ``max_attempts``; under any fault schedule with
+eventual delivery the bound is never reached (each retry succeeds
+independently with the channel's delivery probability), and without
+eventual delivery it converts a livelock into a reported ``degraded``
+outcome.
 
 Allocation discipline: every wire record here (:class:`Sequenced`,
 :class:`TokenFrame`, :class:`Tagged`) is a frozen, slotted dataclass,
@@ -72,7 +73,6 @@ __all__ = [
     "Sequenced",
     "TokenFrame",
     "Tagged",
-    "RetryPolicy",
     "AdaptiveRetryPolicy",
     "AdaptiveSchedule",
     "CandidateInbox",
@@ -203,71 +203,6 @@ class Tagged:
 
 
 @dataclass(frozen=True, slots=True)
-class RetryPolicy:
-    """Fixed ack-timeout and exponential-backoff retransmission schedule.
-
-    ``timeout(attempt)`` grows geometrically from ``base_timeout`` by
-    ``factor`` up to ``cap``.  ``max_attempts`` bounds every retransmit
-    loop so a permanently-unreachable peer yields a *degraded* run
-    instead of a livelock.  ``jitter`` (opt-in, default off) spreads each
-    timeout by up to ``±jitter`` of its value, deterministically from
-    ``jitter_seed`` and the drawing actor's name, so synchronized retry
-    storms decorrelate without sacrificing replayability.
-    """
-
-    base_timeout: float = 6.0
-    factor: float = 2.0
-    cap: float = 48.0
-    max_attempts: int = 25
-    jitter: float = 0.0
-    jitter_seed: int = 0
-
-    def __post_init__(self) -> None:
-        for attr in ("base_timeout", "factor", "cap", "jitter"):
-            value = getattr(self, attr)
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"{attr} must be finite, got {value}"
-                )
-        if self.base_timeout <= 0:
-            raise ConfigurationError(
-                f"base_timeout must be > 0, got {self.base_timeout}"
-            )
-        if self.factor < 1.0:
-            raise ConfigurationError(f"factor must be >= 1, got {self.factor}")
-        if self.cap < self.base_timeout:
-            raise ConfigurationError("cap must be >= base_timeout")
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ConfigurationError(
-                f"jitter must be in [0, 1), got {self.jitter}"
-            )
-
-    def timeout(self, attempt: int, salt: str = "") -> float:
-        """The ack timeout for retransmission round ``attempt`` (0-based).
-
-        ``salt`` (normally the retransmitting actor's name) decorrelates
-        the jitter streams of different actors; it is unused when
-        ``jitter`` is off.
-        """
-        try:
-            raw = self.base_timeout * self.factor**attempt
-        except OverflowError:
-            raw = self.cap
-        value = min(self.cap, raw)
-        if self.jitter:
-            draw = _unit_draw(self.jitter_seed, f"{salt}:{attempt}")
-            value *= 1.0 + self.jitter * (2.0 * draw - 1.0)
-        return value
-
-    def schedule(self, name: str) -> "_FixedSchedule":
-        """A per-actor view of this policy (stateless; shared interface
-        with :meth:`AdaptiveRetryPolicy.schedule`)."""
-        return _FixedSchedule(self, name)
-
-
-@dataclass(frozen=True, slots=True)
 class AdaptiveRetryPolicy:
     """RTT-adaptive retransmission schedule (Jacobson/Karn style).
 
@@ -280,12 +215,12 @@ class AdaptiveRetryPolicy:
     ever retransmitted never contributes an RTT sample, so retransmit
     ambiguity cannot corrupt the estimator.
 
-    Until the first sample arrives the timeout equals ``initial_timeout``
-    (the fixed policy's default), which keeps fault-free runs — where no
-    retransmission timer ever fires — byte-identical to the fixed
-    schedule.  ``jitter`` (a fraction, default ±10%) decorrelates
-    synchronized retry storms; draws are deterministic per ``seed`` and
-    actor name.
+    Until the first sample arrives the timeout equals
+    ``initial_timeout``.  ``jitter`` (a fraction, default ±10%)
+    decorrelates synchronized retry storms; draws are deterministic per
+    ``seed`` and actor name.  ``max_attempts`` bounds every retransmit
+    loop so a permanently-unreachable peer yields a *degraded* run
+    instead of a livelock.
     """
 
     initial_timeout: float = 6.0
@@ -333,40 +268,6 @@ class AdaptiveRetryPolicy:
     def schedule(self, name: str) -> "AdaptiveSchedule":
         """A fresh per-actor estimator; ``name`` keys the jitter stream."""
         return AdaptiveSchedule(self, name)
-
-
-class _FixedSchedule:
-    """Per-actor view of a :class:`RetryPolicy` (no estimator state)."""
-
-    __slots__ = ("policy", "_name")
-
-    def __init__(self, policy: RetryPolicy, name: str) -> None:
-        self.policy = policy
-        self._name = name
-
-    @property
-    def max_attempts(self) -> int:
-        return self.policy.max_attempts
-
-    def timeout(self, attempt: int) -> float:
-        return self.policy.timeout(attempt, salt=self._name)
-
-    def linger_window(self) -> float:
-        """An upper bound on any peer's retransmission gap."""
-        return self.policy.cap + self.policy.base_timeout
-
-    # Karn bookkeeping is a no-op for the fixed schedule.
-    def on_send(self, key: object, now: float) -> None:
-        pass
-
-    def on_ack(self, key: object, now: float) -> None:
-        pass
-
-    def forget(self, key: object) -> None:
-        pass
-
-    def sample(self, rtt: float) -> None:
-        pass
 
 
 class AdaptiveSchedule:
@@ -468,10 +369,10 @@ class AdaptiveSchedule:
 
 
 def retry_schedule(
-    retry: "RetryPolicy | AdaptiveRetryPolicy | None", name: str
-):
-    """The per-actor schedule for ``retry`` (default: fixed policy)."""
-    return (retry or RetryPolicy()).schedule(name)
+    retry: AdaptiveRetryPolicy | None, name: str
+) -> AdaptiveSchedule:
+    """The per-actor schedule for ``retry`` (default: ``AdaptiveRetryPolicy()``)."""
+    return (retry or AdaptiveRetryPolicy()).schedule(name)
 
 
 class CandidateInbox:
@@ -573,7 +474,7 @@ class ReliableFeeder(Actor):
         monitor: str,
         items: list[FeedItem],
         spacing: float = 1.0,
-        retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+        retry: AdaptiveRetryPolicy | None = None,
     ) -> None:
         super().__init__(name)
         if spacing <= 0:
@@ -820,7 +721,7 @@ class ReliableInjector(Actor):
         dest: str,
         frame: TokenFrame,
         size_bits: int,
-        retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+        retry: AdaptiveRetryPolicy | None = None,
         name: str = "token-injector",
     ) -> None:
         super().__init__(name)
@@ -881,7 +782,7 @@ class ReliableEndpoint:
     """
 
     def _init_reliability(
-        self, retry: RetryPolicy | AdaptiveRetryPolicy | None = None
+        self, retry: AdaptiveRetryPolicy | None = None
     ) -> None:
         self._retry = retry_schedule(retry, self.name)
         self._inbox = CandidateInbox()

@@ -48,7 +48,6 @@ from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    RetryPolicy,
     StackGlue,
     TokenFrame,
     harden,
@@ -402,7 +401,7 @@ def detect(
     observers: list | None = None,
     faults: FaultPlan | None = None,
     hardened: bool | None = None,
-    retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+    retry: AdaptiveRetryPolicy | None = None,
     failure_detector: FailureDetectorConfig | None = None,
 ) -> DetectionReport:
     """Run the §3 algorithm on a recorded computation.

@@ -43,7 +43,6 @@ from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
     AdaptiveRetryPolicy,
     FailureDetectorConfig,
-    RetryPolicy,
     StackGlue,
     TokenFrame,
     harden,
@@ -415,7 +414,7 @@ def detect(
     observers: list | None = None,
     faults: FaultPlan | None = None,
     hardened: bool | None = None,
-    retry: RetryPolicy | AdaptiveRetryPolicy | None = None,
+    retry: AdaptiveRetryPolicy | None = None,
     failure_detector: FailureDetectorConfig | None = None,
 ) -> DetectionReport:
     """Run the §3.5 multi-token algorithm with ``groups`` tokens.

@@ -1,4 +1,4 @@
-"""Observability: causal span tracing, run reports, profiling, telemetry.
+"""Observability: causal span tracing, run reports, telemetry.
 
 The paper's contribution is an accounting argument — messages, bits,
 work and space per process (§3.4, §4.4).  This package makes those
@@ -17,7 +17,6 @@ quantities *observable* on live runs:
   observer hook, the always-on crash :class:`FlightRecorder`, and
   offline trace replay (``repro verify-trace``);
 * :mod:`repro.obs.report` — ASCII run reports (``repro report``);
-* :mod:`repro.obs.profiling` — wall-clock counters for kernel hot paths;
 * :mod:`repro.obs.benchjson` — the structured benchmark-result schema.
 
 Quickstart::
@@ -52,7 +51,6 @@ from repro.obs.invariants import (
     message_facts,
     replay_trace,
 )
-from repro.obs.profiling import HotPathProfiler, profiled
 from repro.obs.report import render_report, render_timeline
 from repro.obs.spans import Span, TokenHop, Trace
 from repro.obs.tracer import SpanTracer
@@ -75,8 +73,6 @@ __all__ = [
     "replay_trace",
     "render_report",
     "render_timeline",
-    "HotPathProfiler",
-    "profiled",
     "BENCH_SCHEMA",
     "structured_result",
     "write_benchmark_json",

@@ -12,9 +12,9 @@ form::
      "attrs": {}}
 
 Readers tolerate a missing header and ignore unknown record types, so
-the format can grow (e.g. profiler sections) without breaking old
-consumers.  A *torn final line* — the signature of a writer that died
-mid-record (crash dumps, killed sweeps) — is tolerated too: the partial
+the format can grow new record types without breaking old consumers.
+A *torn final line* — the signature of a writer that died mid-record
+(crash dumps, killed sweeps) — is tolerated too: the partial
 record is discarded and the parsed trace carries ``truncated: True`` in
 its meta so tooling can surface the data loss.  Garbage anywhere before
 the final line still raises, since that indicates corruption rather

@@ -104,9 +104,8 @@ class Sleep:
 class Work:
     """Charge ``units`` work units to the actor.
 
-    Simulated time advances by ``units * kernel.work_time_scale`` (zero
-    by default, so work is pure accounting unless a makespan experiment
-    turns the scale up).
+    Work is pure accounting: it advances no simulated time, as local
+    steps take none in the asynchronous model.
     """
 
     units: int = 1

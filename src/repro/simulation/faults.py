@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.validation import require_finite
 
 __all__ = [
     "FaultRule",
@@ -107,13 +108,9 @@ class CrashEvent:
     def __post_init__(self) -> None:
         if not self.actor:
             raise ConfigurationError("crash event needs an actor name")
-        if self.at < 0:
-            raise ConfigurationError(f"crash time must be >= 0, got {self.at}")
-        if self.restart_at is not None and self.restart_at <= self.at:
-            raise ConfigurationError(
-                f"restart_at must be after the crash "
-                f"({self.restart_at} <= {self.at})"
-            )
+        require_finite(self.at, "crash time")
+        if self.restart_at is not None:
+            require_finite(self.restart_at, "restart_at", self.at, strict=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,18 +135,9 @@ class ChurnEvent:
         object.__setattr__(self, "actors", tuple(self.actors))
         if not self.actors or any(not a for a in self.actors):
             raise ConfigurationError("churn needs non-empty actor names")
-        if self.start < 0:
-            raise ConfigurationError(
-                f"churn start must be >= 0, got {self.start}"
-            )
-        if self.period <= 0:
-            raise ConfigurationError(
-                f"churn period must be > 0, got {self.period}"
-            )
-        if self.downtime <= 0:
-            raise ConfigurationError(
-                f"churn downtime must be > 0, got {self.downtime}"
-            )
+        require_finite(self.start, "churn start")
+        require_finite(self.period, "churn period", strict=True)
+        require_finite(self.downtime, "churn downtime", strict=True)
         if self.rounds < 1:
             raise ConfigurationError(
                 f"churn rounds must be >= 1, got {self.rounds}"
@@ -195,8 +183,7 @@ class JoinEvent:
     def __post_init__(self) -> None:
         if not self.actor:
             raise ConfigurationError("join event needs an actor name")
-        if self.at < 0:
-            raise ConfigurationError(f"join time must be >= 0, got {self.at}")
+        require_finite(self.at, "join time")
         if self.seed_contact == self.actor:
             raise ConfigurationError(
                 f"join seed contact must differ from the joiner "
@@ -228,10 +215,7 @@ class LeaveEvent:
     def __post_init__(self) -> None:
         if not self.actor:
             raise ConfigurationError("leave event needs an actor name")
-        if self.at < 0:
-            raise ConfigurationError(
-                f"leave time must be >= 0, got {self.at}"
-            )
+        require_finite(self.at, "leave time")
 
     def describe(self) -> str:
         """A compact human-readable rendering (used by the CLI)."""
@@ -259,15 +243,9 @@ class PartitionEvent:
         object.__setattr__(
             self, "groups", tuple(frozenset(g) for g in self.groups)
         )
-        if self.at < 0:
-            raise ConfigurationError(
-                f"partition time must be >= 0, got {self.at}"
-            )
-        if self.heal_at is not None and self.heal_at <= self.at:
-            raise ConfigurationError(
-                f"heal_at must be after the partition start "
-                f"({self.heal_at} <= {self.at})"
-            )
+        require_finite(self.at, "partition time")
+        if self.heal_at is not None:
+            require_finite(self.heal_at, "heal_at", self.at, strict=True)
         if not self.groups:
             raise ConfigurationError("partition needs at least one group")
         if any(not g for g in self.groups):

@@ -108,41 +108,27 @@ class Kernel:
         Latency/ordering policy (default: fixed unit latency, FIFO).
     seed:
         Seed for latency draws.
-    work_time_scale:
-        Simulated time consumed per ``Work`` unit (0 = work is pure
-        accounting; set > 0 for makespan experiments).
     max_steps:
         Safety bound on processed events.
     faults:
         Optional :class:`~repro.simulation.faults.FaultPlan`.  With
-        ``None`` (the default) the delivery hot path is unchanged apart
-        from a single ``is None`` check per event.
-    profiler:
-        Optional :class:`~repro.obs.profiling.HotPathProfiler`; when set,
-        the kernel wall-clocks its hot paths (event dispatch per action,
-        plus event scheduling) under ``kernel.*`` section names.  With
-        ``None`` (the default) the loop pays one ``is None`` check per
-        event and nothing else.
+        ``None`` (the default) every send is one clean copy, and the
+        delivery path skips the partition check and fault draw.
     """
 
     def __init__(
         self,
         channel_model: ChannelModel | None = None,
         seed: int = 0,
-        work_time_scale: float = 0.0,
         max_steps: int = 5_000_000,
         observers: list | None = None,
         faults: FaultPlan | None = None,
-        profiler=None,
     ) -> None:
-        if work_time_scale < 0:
-            raise SimulationError("work_time_scale must be >= 0")
         if max_steps <= 0:
             raise SimulationError("max_steps must be positive")
         self._observers = list(observers or [])
         self._channel = channel_model or FixedLatency(1.0)
         self._rng = spawn_rng(seed, "kernel")
-        self._work_time_scale = work_time_scale
         self._max_steps = max_steps
         self._states: dict[str, _ActorState] = {}
         self._queue: list[tuple[float, int, str, object]] = []
@@ -152,7 +138,6 @@ class Kernel:
         self._messages_delivered = 0
         self._last_fifo_delivery: dict[tuple[str, str], float] = {}
         self.metrics = MetricsBoard()
-        self._profiler = profiler
         self._faults = faults
         self._fault_rng = spawn_rng(seed, "faults") if faults is not None else None
         self._live_partitions: list[PartitionEvent] = []
@@ -296,30 +281,26 @@ class Kernel:
                 )
             time, _seq, action, payload = pop(queue)
             self._time = time
-            _prof_t0 = (
-                self._profiler.start() if self._profiler is not None else 0.0
-            )
             if action == "deliver":
                 # Delivers dominate every protocol run; dispatch them
-                # first and, off the profiler path, drain all remaining
-                # same-timestamp delivers in one dispatch.  New events
-                # scheduled by a delivery always carry a higher seq than
-                # anything queued, so draining in heap order preserves
-                # the (time, seq) total order exactly.
+                # first and drain all remaining same-timestamp delivers
+                # in one dispatch.  New events scheduled by a delivery
+                # always carry a higher seq than anything queued, so
+                # draining in heap order preserves the (time, seq) total
+                # order exactly.
                 self._deliver(payload)  # type: ignore[arg-type]
-                if self._profiler is None:
-                    while (
-                        queue
-                        and queue[0][0] == time
-                        and queue[0][2] == "deliver"
-                    ):
-                        self._steps += 1
-                        if self._steps > self._max_steps:
-                            raise SimulationError(
-                                f"exceeded max_steps={self._max_steps}; "
-                                f"likely livelock in a protocol"
-                            )
-                        self._deliver(pop(queue)[3])  # type: ignore[arg-type]
+                while (
+                    queue
+                    and queue[0][0] == time
+                    and queue[0][2] == "deliver"
+                ):
+                    self._steps += 1
+                    if self._steps > self._max_steps:
+                        raise SimulationError(
+                            f"exceeded max_steps={self._max_steps}; "
+                            f"likely livelock in a protocol"
+                        )
+                    self._deliver(pop(queue)[3])  # type: ignore[arg-type]
             elif action == "resume":
                 name, value, incarnation = payload  # type: ignore[misc]
                 state = self._states[name]
@@ -349,8 +330,6 @@ class Kernel:
                 self._notify_partition("healed", payload)  # type: ignore[arg-type]
             else:  # pragma: no cover - defensive
                 raise SimulationError(f"unknown action {action!r}")
-            if self._profiler is not None:
-                self._profiler.stop(f"kernel.{action}", _prof_t0)
         blocked = {
             name: (state.pending_receive.description if state.pending_receive else "")
             for name, state in self._states.items()
@@ -515,14 +494,6 @@ class Kernel:
                     self._handle_send(state, item)
             elif isinstance(effect, Work):
                 state.actor.metrics.charge_work(effect.units)  # type: ignore[union-attr]
-                if self._work_time_scale > 0 and effect.units > 0:
-                    state.status = _Status.SLEEPING
-                    self._schedule(
-                        self._time + effect.units * self._work_time_scale,
-                        "resume",
-                        (name, None, state.incarnation),
-                    )
-                    return
             elif isinstance(effect, Sleep):
                 state.status = _Status.SLEEPING
                 self._schedule(
@@ -553,27 +524,69 @@ class Kernel:
                 )
 
     def _handle_send(self, state: _ActorState, effect: Send) -> None:
+        """Schedule the delivery of each copy of one send.
+
+        The sender is always charged for exactly one send (a fault is
+        the channel's, not the protocol's).  Without a fault plan a send
+        is one clean copy; with one, :meth:`_copies` decides how many
+        copies survive and which are corruption-marked.  Each copy draws
+        its own latency and respects the FIFO clamp in schedule order;
+        observers see the first copy as the send.
+        """
         src = state.actor.name
-        if effect.dest not in self._states:
+        dest = effect.dest
+        if dest not in self._states:
             raise SimulationError(
-                f"actor {src} sends to unknown actor {effect.dest!r}"
+                f"actor {src} sends to unknown actor {dest!r}"
             )
         state.actor.metrics.charge_send(effect.kind, effect.size_bits)  # type: ignore[union-attr]
-        if self._faults is not None:
-            self._handle_send_faulty(src, effect)
-            return
-        latency = self._channel.latency(src, effect.dest, effect.kind, self._rng)
-        if latency < 0:  # pragma: no cover - defensive
-            raise SimulationError("channel model produced negative latency")
-        delivery = self._time + latency
-        if self._channel.is_fifo(src, effect.dest, effect.kind):
-            key = (src, effect.dest)
-            delivery = max(delivery, self._last_fifo_delivery.get(key, 0.0))
-            self._last_fifo_delivery[key] = delivery
-        message = self._make_message(src, effect, delivery)
+        copies = (False,) if self._faults is None else self._copies(src, effect)
+        fifo = self._channel.is_fifo(src, dest, effect.kind)
+        notify = bool(self._observers)
+        for corrupted in copies:
+            latency = self._channel.latency(src, dest, effect.kind, self._rng)
+            if latency < 0:  # pragma: no cover - defensive
+                raise SimulationError("channel model produced negative latency")
+            delivery = self._time + latency
+            if fifo:
+                key = (src, dest)
+                delivery = max(delivery, self._last_fifo_delivery.get(key, 0.0))
+                self._last_fifo_delivery[key] = delivery
+            if corrupted:
+                self.metrics.record_channel_fault(src, dest, "corrupted")
+            message = self._make_message(src, effect, delivery, corrupted)
+            if notify:
+                self._notify(MessagePhase.SENT, message)
+                notify = False
+            self._schedule(delivery, "deliver", message)
+
+    def _copies(self, src: str, effect: Send) -> list[bool]:
+        """The fault plan's verdict on one send: a corrupted flag per copy.
+
+        A live partition separating src and dest drops the send before
+        any probability draw, so partitions never perturb the fault RNG
+        stream of the surviving components.  Observers see a dropped or
+        partitioned send with an infinite delivery time.
+        """
+        assert self._faults is not None and self._fault_rng is not None
+        dest = effect.dest
+        for partition in self._live_partitions:
+            if partition.separates(src, dest):
+                fault = "partitioned"
+                break
+        else:
+            copies = self._faults.draw(src, dest, effect.kind, self._fault_rng)
+            if len(copies) > 1:
+                self.metrics.record_channel_fault(src, dest, "duplicated")
+            if copies:
+                return copies
+            fault = "dropped"
+        self.metrics.record_channel_fault(src, dest, fault)
         if self._observers:
-            self._notify(MessagePhase.SENT, message)
-        self._schedule(delivery, "deliver", message)
+            self._notify_fault(
+                self._make_message(src, effect, float("inf")), lost=False
+            )
+        return []
 
     def _make_message(
         self, src: str, effect: Send, delivery: float, corrupted: bool = False
@@ -590,76 +603,6 @@ class Kernel:
             delivered_at=delivery,
             corrupted=corrupted,
         )
-
-    def _handle_send_faulty(self, src: str, effect: Send) -> None:
-        """Fault-plan delivery path: drop / duplicate / corruption-mark.
-
-        The sender is always charged for exactly one send (the fault is
-        the channel's, not the protocol's); each surviving copy draws
-        its own latency and respects the FIFO clamp in schedule order.
-        A live partition separating src and dest drops the send before
-        any probability draw, so partitions never perturb the fault RNG
-        stream of the surviving components.
-        """
-        assert self._faults is not None and self._fault_rng is not None
-        for partition in self._live_partitions:
-            if partition.separates(src, effect.dest):
-                self.metrics.record_channel_fault(src, effect.dest, "partitioned")
-                if self._observers:
-                    self._notify_fault(
-                        Message(
-                            seq=self._next_seq(),
-                            src=src,
-                            dest=effect.dest,
-                            kind=effect.kind,
-                            payload=effect.payload,
-                            size_bits=effect.size_bits,
-                            sent_at=self._time,
-                            delivered_at=float("inf"),
-                        ),
-                        lost=False,
-                    )
-                return
-        copies = self._faults.draw(src, effect.dest, effect.kind, self._fault_rng)
-        if not copies:
-            self.metrics.record_channel_fault(src, effect.dest, "dropped")
-            if self._observers:
-                self._notify_fault(
-                    Message(
-                        seq=self._next_seq(),
-                        src=src,
-                        dest=effect.dest,
-                        kind=effect.kind,
-                        payload=effect.payload,
-                        size_bits=effect.size_bits,
-                        sent_at=self._time,
-                        delivered_at=float("inf"),
-                    ),
-                    lost=False,
-                )
-            return
-        if len(copies) > 1:
-            self.metrics.record_channel_fault(src, effect.dest, "duplicated")
-        fifo = self._channel.is_fifo(src, effect.dest, effect.kind)
-        first = True
-        for corrupted in copies:
-            latency = self._channel.latency(
-                src, effect.dest, effect.kind, self._rng
-            )
-            if latency < 0:  # pragma: no cover - defensive
-                raise SimulationError("channel model produced negative latency")
-            delivery = self._time + latency
-            if fifo:
-                key = (src, effect.dest)
-                delivery = max(delivery, self._last_fifo_delivery.get(key, 0.0))
-                self._last_fifo_delivery[key] = delivery
-            if corrupted:
-                self.metrics.record_channel_fault(src, effect.dest, "corrupted")
-            message = self._make_message(src, effect, delivery, corrupted)
-            if first and self._observers:
-                self._notify(MessagePhase.SENT, message)
-            first = False
-            self._schedule(delivery, "deliver", message)
 
     def _match_from_mailbox(
         self, state: _ActorState, receive: Receive
@@ -678,12 +621,6 @@ class Kernel:
 
     # ------------------------------------------------------------------
     def _schedule(self, time: float, action: str, payload: object) -> None:
-        if self._profiler is not None:
-            t0 = self._profiler.start()
-            self._seq = seq = self._seq + 1
-            heapq.heappush(self._queue, (time, seq, action, payload))
-            self._profiler.stop("kernel.schedule", t0)
-            return
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (time, seq, action, payload))
 

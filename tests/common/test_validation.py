@@ -5,6 +5,7 @@ import pytest
 from repro.common import ConfigurationError
 from repro.common.validation import (
     require,
+    require_finite,
     require_in_range,
     require_length,
     require_non_negative,
@@ -49,6 +50,28 @@ class TestRequireInRange:
     def test_rejects_outside(self):
         with pytest.raises(ConfigurationError):
             require_in_range(1.01, 0.0, 1.0, "p")
+
+
+class TestRequireFinite:
+    def test_accepts_and_returns(self):
+        assert require_finite(0.0, "t") == 0.0
+        assert require_finite(5, "t", 5) == 5
+        assert require_finite(2.5, "t", 1.0, strict=True) == 2.5
+
+    @pytest.mark.parametrize("value, low, strict", [
+        (float("nan"), 0.0, False),
+        (float("inf"), 0.0, False),
+        (float("-inf"), 0.0, False),
+        (10**400, 0.0, False),
+        ("3", 0.0, False),
+        (None, 0.0, False),
+        (-0.5, 0.0, False),
+        (0.0, 0.0, True),
+        (3.0, 4.0, True),
+    ])
+    def test_rejects_naming_the_field(self, value, low, strict):
+        with pytest.raises(ConfigurationError, match="^t must be a finite"):
+            require_finite(value, "t", low, strict=strict)
 
 
 class TestRequireLength:

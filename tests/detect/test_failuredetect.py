@@ -33,6 +33,17 @@ class TestConfigValidation:
         {"grace": 0.0},
         {"election_window": 0.0},
         {"max_idle_rounds": 0},
+        {"heartbeat_interval": float("nan")},
+        {"heartbeat_interval": float("inf"), "suspicion_after": float("inf")},
+        {"suspicion_after": float("nan")},
+        {"suspicion_after": float("inf")},
+        {"grace": float("nan")},
+        {"grace": float("inf")},
+        {"election_window": float("nan")},
+        {"gossip_interval": float("nan")},
+        {"gossip_interval": float("inf")},
+        {"gossip_timeout": float("nan")},
+        {"gossip_timeout": float("inf")},
     ])
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -266,13 +266,15 @@ class TestOutcomes:
         """With 100% token drop no protocol can succeed; the bounded
         retry policy must give up — and report the run as degraded
         (inconclusive) — instead of livelocking."""
-        from repro.detect.stack import RetryPolicy
+        from repro.detect.stack import AdaptiveRetryPolicy
 
         plan = FaultPlan(rules=(FaultRule(kind="token", drop=1.0),))
         comp, wcp = _case(0)
         rep = run_detector(
             "token_vc", comp, wcp, seed=0, faults=plan,
-            retry=RetryPolicy(base_timeout=2.0, cap=8.0, max_attempts=3),
+            retry=AdaptiveRetryPolicy(
+                initial_timeout=2.0, cap=8.0, max_attempts=3
+            ),
         )
         assert not rep.detected
         assert rep.extras["gave_up"]

@@ -147,6 +147,20 @@ class TestParseMergeDescribe:
         "crash:mon-0",
         "crash:mon-0:abc",
         "crash:mon-0:5:4",
+        "crash:mon-1:nan",
+        "crash:mon-1:inf",
+        "crash:mon-1:1e400",
+        "crash:mon-1:4:nan",
+        "crash:mon-1:4:inf",
+        "churn:mon-1:nan:8:4",
+        "churn:mon-1:4:nan:4",
+        "churn:mon-1:4:8:nan",
+        "churn:mon-1:4:inf:4",
+        "churn:mon-1:4:8:inf",
+        "join:mon-3:nan",
+        "join:mon-3:inf",
+        "leave:mon-3:nan",
+        "leave:mon-3:inf",
     ])
     def test_parse_rejects_bad_specs(self, spec):
         with pytest.raises(ConfigurationError):
@@ -173,6 +187,10 @@ class TestParseMergeDescribe:
         "partition:abc:20:mon-0",    # bad time
         "partition:4:3:mon-0",       # heal before start
         "partition:4:20:",           # empty group list
+        "partition:nan:20:mon-0",    # NaN start
+        "partition:inf::mon-0",      # infinite start
+        "partition:3:nan:mon-0|mon-1",  # NaN heal: would never heal
+        "partition:3:1e400:mon-0",   # heal overflows to inf
     ])
     def test_parse_rejects_bad_partitions(self, spec):
         with pytest.raises(ConfigurationError):
@@ -416,3 +434,34 @@ class TestDeterministicReplay:
         assert a.detection_time == b.detection_time
         assert a.extras == b.extras
         assert a.sim.faults == b.sim.faults
+
+
+class TestEmptyPlanDeliversLikeNoPlan:
+    """The kernel has one send loop: with no fault plan a send is one
+    clean copy, and a plan none of whose rules match must yield the same
+    copy.  So an empty plan may add the fault summary and nothing else:
+    not one draw, seq, step, counter or cut differs."""
+
+    @pytest.mark.parametrize("detector", ["token_vc", "direct_dep"])
+    def test_empty_plan_is_byte_identical(self, detector):
+        comp = random_computation(5, 8, seed=3, predicate_density=0.3,
+                                  plant_final_cut=True)
+        wcp = WeakConjunctivePredicate.of_flags(tuple(range(5)))
+        runs = []
+        for faults in (None, FaultPlan()):
+            log = EventLog()
+            report = run_detector(detector, comp, wcp, seed=3,
+                                  observers=[log], faults=faults,
+                                  hardened=False)
+            runs.append((report, log))
+        (plain, plain_log), (planned, planned_log) = runs
+        assert plain.detected and plain.cut == planned.cut
+        assert plain_log.timeline() == planned_log.timeline()
+        assert [e.message.seq for e in plain_log.events] == [
+            e.message.seq for e in planned_log.events
+        ]
+        assert plain.sim.steps == planned.sim.steps
+        assert plain.sim.messages_delivered == planned.sim.messages_delivered
+        assert plain.metrics.snapshot() == planned.metrics.snapshot()
+        assert plain.sim.faults is None
+        assert planned.sim.faults.total_message_faults == 0

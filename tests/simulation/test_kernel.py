@@ -278,11 +278,6 @@ class TestWorkAccounting:
         k.add_actor(Once("a", [Work(100)]))
         assert k.run().time == 0.0
 
-    def test_work_time_scale(self):
-        k = Kernel(work_time_scale=0.5)
-        k.add_actor(Once("a", [Work(10)]))
-        assert k.run().time == 5.0
-
     def test_send_list_effect(self):
         class Fan(Actor):
             def run(self):
@@ -340,7 +335,5 @@ class TestWorkAccounting:
         assert result.time <= 5.0
 
     def test_invalid_config(self):
-        with pytest.raises(SimulationError):
-            Kernel(work_time_scale=-1)
         with pytest.raises(SimulationError):
             Kernel(max_steps=0)

@@ -169,6 +169,12 @@ class TestDetectJson:
         assert sent.get("ping", 0) > 0
         assert sent.get("heartbeat", 0) == 0
 
+    def test_gossip_interval_rejects_nan(self, trace_file):
+        with pytest.raises(SystemExit, match="gossip_interval"):
+            main(["detect", str(trace_file), "--detector", "token_vc",
+                  "--faults", "drop:token:0.1", "--self-heal",
+                  "--membership", "gossip", "--gossip-interval", "nan"])
+
     def test_gossip_membership_requires_self_heal(self, trace_file):
         with pytest.raises(SystemExit, match="--membership gossip needs"):
             main(["detect", str(trace_file), "--faults", "drop:token:0.1",

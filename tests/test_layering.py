@@ -48,6 +48,32 @@ def test_checker_flags_a_planted_violation():
     ]
 
 
+def test_checker_flags_a_planted_simulation_import():
+    """A simulation module importing any ``repro`` package but
+    ``repro.common`` and ``repro.simulation`` is reported; stdlib and
+    ``TYPE_CHECKING`` imports are not."""
+    tree = ast.parse(
+        "from typing import TYPE_CHECKING\n"
+        "import heapq\n"
+        "from repro.common.errors import SimulationError\n"
+        "from repro.simulation.effects import Message\n"
+        "from repro.obs.tracer import SpanTracer\n"
+        "import repro.detect.base\n"
+        "from repro import obs\n"
+        "if TYPE_CHECKING:\n"
+        "    from repro.detect.stack import TokenFrame\n"
+    )
+    visitor = check_layering._ImportVisitor(check_layering._leaves_simulation)
+    visitor.visit(tree)
+    assert visitor.violations == [
+        (5, "repro.obs.tracer"),
+        (6, "repro.detect.base"),
+        (7, "repro"),
+    ]
+    stems = {p.stem for p in check_layering.simulation_modules()}
+    assert {"kernel", "faults", "instrumentation"} <= stems
+
+
 def test_checker_flags_a_planted_harness():
     """A driver that builds its own feeder, injector or joiners is
     reported however it names them; other stack names are not."""

@@ -27,6 +27,12 @@ name the feeders, injectors and joiner spawner in
 :data:`HARNESS_NAMES`.  Every other module under ``detect/`` and
 ``detect/service/`` is checked, ``runner`` and ``__init__`` included.
 
+A third rule keeps the simulation layer at the bottom: modules under
+``simulation/`` import no ``repro`` package but ``repro.common`` and
+``repro.simulation`` outside ``if TYPE_CHECKING:``.  The kernel names
+message kinds by string for this reason, and it cannot come to depend
+on ``repro.obs`` or ``repro.detect``.
+
 Exit status 1 with a per-violation report, 0 when clean.  Run directly
 or via ``tests/test_layering.py`` (tier-1) and the CI lint job.
 """
@@ -39,6 +45,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 DETECT = REPO / "src" / "repro" / "detect"
+SIMULATION = REPO / "src" / "repro" / "simulation"
 
 #: Modules whose *job* is to violate the rule (registry / stack glue).
 EXEMPT = {"runner", "dispatcher", "__init__"}
@@ -61,18 +68,29 @@ HARNESS_NAMES = frozenset(
 #: The modules that launch runs (relative to ``detect/``).
 LAUNCHERS = {"launch.py", "service/dispatcher.py"}
 
+#: The only ``repro`` packages the simulation layer may import.
+SIMULATION_IMPORTS = ("repro.common", "repro.simulation")
+
+
+def _under(module: str, prefixes: tuple[str, ...]) -> bool:
+    return any(module == p or module.startswith(p + ".") for p in prefixes)
+
 
 def _is_forbidden(module: str) -> bool:
-    return any(
-        module == p or module.startswith(p + ".") for p in FORBIDDEN_PREFIXES
-    )
+    return _under(module, FORBIDDEN_PREFIXES)
+
+
+def _leaves_simulation(module: str) -> bool:
+    """Whether a simulation module may not import ``module``."""
+    return _under(module, ("repro",)) and not _under(module, SIMULATION_IMPORTS)
 
 
 class _ImportVisitor(ast.NodeVisitor):
     """Collect forbidden imports, skipping ``if TYPE_CHECKING:`` bodies."""
 
-    def __init__(self) -> None:
+    def __init__(self, forbidden=_is_forbidden) -> None:
         self.violations: list[tuple[int, str]] = []
+        self._forbidden = forbidden
 
     def visit_If(self, node: ast.If) -> None:
         test = node.test
@@ -89,11 +107,11 @@ class _ImportVisitor(ast.NodeVisitor):
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            if _is_forbidden(alias.name):
+            if self._forbidden(alias.name):
                 self.violations.append((node.lineno, alias.name))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module and node.level == 0 and _is_forbidden(node.module):
+        if node.module and node.level == 0 and self._forbidden(node.module):
             self.violations.append((node.lineno, node.module))
 
 
@@ -107,6 +125,22 @@ def check_file(path: Path) -> list[str]:
         f"use the repro.detect.stack facade"
         for line, module in visitor.violations
     ]
+
+
+def check_simulation_file(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    visitor = _ImportVisitor(_leaves_simulation)
+    visitor.visit(tree)
+    rel = path.relative_to(REPO)
+    return [
+        f"{rel}:{line}: simulation layer imports {module!r}; it may "
+        f"import only {' and '.join(SIMULATION_IMPORTS)}"
+        for line, module in visitor.violations
+    ]
+
+
+def simulation_modules() -> list[Path]:
+    return sorted(SIMULATION.glob("*.py"))
 
 
 def _detect_modules() -> list[Path]:
@@ -156,13 +190,17 @@ def main() -> int:
         problems.extend(check_file(path))
     for path in harness_modules():
         problems.extend(check_harness(path))
+    for path in simulation_modules():
+        problems.extend(check_simulation_file(path))
     if problems:
         print("layering violations:", file=sys.stderr)
         for line in problems:
             print(f"  {line}", file=sys.stderr)
         return 1
-    count = len(core_modules())
-    print(f"layering OK: {count} detection-core modules checked")
+    print(
+        f"layering OK: {len(core_modules())} detection-core and "
+        f"{len(simulation_modules())} simulation modules checked"
+    )
     return 0
 
 
