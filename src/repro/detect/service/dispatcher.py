@@ -228,21 +228,6 @@ class ServiceGlue(StackGlue):
     def _fd_slot(self) -> int:
         return self._u_index
 
-    def _fd_peers(self) -> dict[int, str]:
-        return {
-            i: name
-            for i, name in enumerate(self._monitors)
-            if i != self._u_index
-        }
-
-    def _halt_targets(self) -> list[str]:
-        peers = [m for m in self._monitors if m != self.name]
-        feeders = [
-            app_name(int(m.removeprefix(MONITOR_PREFIX)))
-            for m in self._monitors
-        ]
-        return peers + feeders
-
     def _stack_finished(self) -> bool:
         return (
             self.name == self._coordinator
@@ -288,9 +273,7 @@ class ServiceGlue(StackGlue):
                 return tuple(payload[u] for u in machine.proj)
             if self._inbox.exhausted:
                 return None
-            msg = yield from self._fd_receive(
-                f"{self.name} awaiting candidate"
-            )
+            msg = yield from self._fd_receive(self._awaiting_candidate)
             if msg is None:
                 if self.halted:
                     return "halt"

@@ -15,7 +15,7 @@ process (the Fig. 2 ``firstflag`` emission points are a function of the
 process and its clause), and a shared stream can only be exact for
 clauses with identical emission points.  Same name is the contract for
 "same clause" (the workload generators' ``flag_predicate(var)`` obeys
-it); :meth:`PredicateRegistry.clause_for` enforces the rule at launch.
+it); :meth:`PredicateRegistry.predicate_map` enforces the rule at launch.
 """
 
 from __future__ import annotations
@@ -97,49 +97,47 @@ class PredicateRegistry:
         return iter(tuple(self._entries.items()))
 
     # ------------------------------------------------------------------
-    def union_pids(self) -> tuple[Pid, ...]:
-        """All pids named by any registered predicate, ascending."""
-        pids: set[Pid] = set()
-        for wcp in self._entries.values():
-            pids.update(wcp.pids)
-        return tuple(sorted(pids))
-
     def clause_for(self, pid: Pid) -> LocalPredicate:
         """The (unique) local predicate bound to ``pid``.
 
-        Raises :class:`~repro.common.errors.ConfigurationError` when two
-        registered predicates bind differently-named clauses to the same
-        pid — a shared candidate stream cannot serve both exactly.
-        Identity is compared through the WCP's registry-facing
-        :meth:`~repro.predicates.conjunctive.WeakConjunctivePredicate.bindings`
-        spec (clause names, not callables).
+        Reads :meth:`predicate_map`, so it raises the same
+        :class:`~repro.common.errors.ConfigurationError` for a registry
+        that breaks the sharing contract.
         """
-        clause: LocalPredicate | None = None
-        owner: str | None = None
-        for pred_id, wcp in self._entries.items():
-            bound = dict(wcp.bindings())
-            if pid not in bound:
-                continue
-            candidate = wcp.clause(pid)
-            if clause is None:
-                clause, owner = candidate, pred_id
-            elif bound[pid] != clause.name:
-                raise ConfigurationError(
-                    f"predicates {owner!r} and {pred_id!r} bind different "
-                    f"local predicates ({clause.name!r} vs "
-                    f"{candidate.name!r}) to P{pid}; a shared candidate "
-                    f"stream requires one clause per process — run them "
-                    f"in separate services"
-                )
-        if clause is None:
+        try:
+            return self.predicate_map()[pid]
+        except KeyError:
             raise ConfigurationError(
                 f"no registered predicate names P{pid}"
-            )
-        return clause
+            ) from None
 
     def predicate_map(self) -> dict[Pid, LocalPredicate]:
-        """One clause per union pid (validated via :meth:`clause_for`)."""
-        return {pid: self.clause_for(pid) for pid in self.union_pids()}
+        """One clause per union pid, ascending: the first-registered one.
+
+        One pass over the registered bindings.  Raises
+        :class:`~repro.common.errors.ConfigurationError` when predicates
+        bind differently-named clauses (names, not callables, are the
+        contract) to one pid, naming the lowest such pid, its first
+        owner and the first later predicate that differs.
+        """
+        owners: dict[Pid, tuple[str, LocalPredicate]] = {}
+        clashes: dict[Pid, tuple[str, LocalPredicate]] = {}
+        for pred_id, wcp in self._entries.items():
+            for pid, clause in wcp.items():
+                owner = owners.setdefault(pid, (pred_id, clause))
+                if clause.name != owner[1].name:
+                    clashes.setdefault(pid, (pred_id, clause))
+        if clashes:
+            pid = min(clashes)
+            (owner_id, clause), (pred_id, candidate) = owners[pid], clashes[pid]
+            raise ConfigurationError(
+                f"predicates {owner_id!r} and {pred_id!r} bind different "
+                f"local predicates ({clause.name!r} vs "
+                f"{candidate.name!r}) to P{pid}; a shared candidate "
+                f"stream requires one clause per process — run them "
+                f"in separate services"
+            )
+        return {pid: owners[pid][1] for pid in sorted(owners)}
 
     def check_against(self, num_processes: int) -> None:
         """Validate every registered predicate against an ``N``-process

@@ -36,6 +36,7 @@ predicates share one endpoint, one run loop, and one candidate stream —
 from __future__ import annotations
 
 from repro.common.errors import ConfigurationError
+from repro.detect.base import MONITOR_PREFIX, app_name
 from repro.detect.stack.membership import (
     FailureDetectorConfig,
     FailureDetectorMixin,
@@ -69,10 +70,13 @@ class StackedMonitor(FailureDetectorMixin, ReliableEndpoint):
         plain method (NO yields — it must be atomic with the frame's
         retirement) committing the visit's outcome: set ``detected`` /
         ``aborted``, or queue the forward via ``_begin_transfer``;
-    ``_halt_targets()``
-        every actor the declaring monitor must reliably halt;
-    ``_fd_slot()`` / ``_fd_peers()``
-        the membership layer's election identity hooks.
+    ``_fd_slot()``
+        the membership layer's election identity.
+
+    Hosts keeping their monitors' names in ``_monitors`` get two
+    defaults: ``_fd_peers()`` (every other monitor, keyed by slot) and
+    ``_halt_targets()`` (every actor the declaring monitor must reliably
+    halt: every other monitor and every monitor's feeder).
 
     Optional overrides: ``_stack_finished()`` (when to start the halt
     wave; defaults to ``detected or aborted``), ``_stack_idle()`` (a
@@ -101,7 +105,10 @@ class StackedMonitor(FailureDetectorMixin, ReliableEndpoint):
         raise NotImplementedError
 
     def _halt_targets(self) -> list[str]:
-        raise NotImplementedError
+        feeders = [
+            app_name(int(m.removeprefix(MONITOR_PREFIX))) for m in self._monitors
+        ]
+        return [m for m in self._monitors if m != self.name] + feeders
 
     def _stack_finished(self) -> bool:
         """Whether this monitor owns a verdict and must halt the run."""
@@ -134,6 +141,7 @@ class StackedMonitor(FailureDetectorMixin, ReliableEndpoint):
     # The run loop every hardened token detector shares.
     # ------------------------------------------------------------------
     def run(self):
+        idle = self._idle_description()
         while True:
             if self.halted:
                 yield from self._linger()
@@ -167,7 +175,7 @@ class StackedMonitor(FailureDetectorMixin, ReliableEndpoint):
                 continue
             if self._stack_idle():
                 continue
-            msg = yield from self._fd_receive(self._idle_description())
+            msg = yield from self._fd_receive(idle)
             if msg is None:
                 if self.halted:
                     return  # halt arrived during a detector tick

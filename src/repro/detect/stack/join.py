@@ -93,10 +93,8 @@ class StandbyMonitor(FailureDetectorMixin, ReliableEndpoint, Actor):
         self._init_reliability(retry)
         self._init_failure_detector(config)
         self._slot = slot
+        self._seed_slot = seed_slot
         self._seed_contact = seed_contact
-        # Everything this standby knows about the group; grows from the
-        # seed contact alone to the full snapshot at welcome time.
-        self._members: dict[int, str] = {seed_slot: seed_contact}
         self.joined = False
         self.synced = False
         self.candidates_absorbed = 0
@@ -110,7 +108,9 @@ class StandbyMonitor(FailureDetectorMixin, ReliableEndpoint, Actor):
         return self._slot
 
     def _fd_peers(self) -> dict[int, str]:
-        return dict(self._members)
+        # The seed contact is the one member known up front; the welcome
+        # snapshot adds the rest as runtime-learned peers.
+        return {self._seed_slot: self._seed_contact}
 
     def _fd_is_red(self) -> bool:
         return False  # never hosts a regenerated token
@@ -206,7 +206,7 @@ class StandbyMonitor(FailureDetectorMixin, ReliableEndpoint, Actor):
         for slot, name, incarnation, status in welcome.members:
             if slot == self._slot:
                 continue
-            self._members[slot] = name
+            self._fd_learn(slot, name)
             swim.add_member(
                 slot, name, incarnation=incarnation, announce=False
             )
@@ -214,7 +214,6 @@ class StandbyMonitor(FailureDetectorMixin, ReliableEndpoint, Actor):
                 swim.apply(
                     GossipUpdate(slot, status, incarnation, name), self.now
                 )
-            self._fd_last_heard.setdefault(slot, self.now)
         self._adopt_epoch(welcome.epoch)
         self.joined = True
 

@@ -75,6 +75,7 @@ from repro.detect.stack.transport import (
     FeedJoin,
     TokenFrame,
 )
+from repro.simulation.effects import Receive
 
 __all__ = [
     "HEARTBEAT_KIND",
@@ -282,7 +283,10 @@ class FailureDetectorMixin:
     ``_fd_slot()``
         this monitor's election identity (lower wins);
     ``_fd_peers()``
-        ``{slot: actor_name}`` for every peer that runs the detector;
+        ``{slot: actor_name}`` for every peer known from the start (the
+        default: every other entry of the host's ``_monitors``, keyed by
+        slot).  It is read once per monitor; members learned at run time
+        go into ``_fd_extra_peers`` instead;
     ``_fd_is_red()``
         whether this monitor may host a regenerated token
         (direct-dependence routing; vector-clock hosts return True);
@@ -314,16 +318,28 @@ class FailureDetectorMixin:
         self._fd_futile = 0
         self._fd_last_regen: tuple = ()
         self._swim: SwimState | None = None
-        #: Members learned at runtime (elastic join), ``{slot: name}`` —
-        #: merged with the host's static ``_fd_peers`` everywhere the
+        #: The host's static ``_fd_peers``, read on first use.
+        self._fd_static: dict[int, str] | None = None
+        #: Members learned at runtime (elastic join, a standby's welcome),
+        #: ``{slot: name}`` — merged with the static peers everywhere the
         #: detector routes by slot.
         self._fd_extra_peers: dict[int, str] = {}
+        #: Idle receives per description: ``(blocking, ticking)``.
+        self._fd_idle: dict[str, tuple[Receive, Receive | None]] = {}
         self.elections = 0
         self.takeovers = 0
 
     # ------------------------------------------------------------------
     # Host hooks (overridable)
     # ------------------------------------------------------------------
+    def _fd_peers(self) -> dict[int, str]:
+        me = self._fd_slot()
+        return {
+            slot: name
+            for slot, name in enumerate(self._monitors)
+            if slot != me
+        }
+
     def _fd_is_red(self) -> bool:
         return True
 
@@ -333,11 +349,19 @@ class FailureDetectorMixin:
         return {}
 
     def _fd_all_peers(self) -> dict[int, str]:
-        """The host's static peers plus every runtime-joined member."""
-        peers = self._fd_peers()
+        """The host's static peers plus every runtime-joined member
+        (read-only: without joiners it is the static map itself)."""
+        peers = self._fd_static
+        if peers is None:
+            peers = self._fd_static = self._fd_peers()
         if self._fd_extra_peers:
             peers = {**peers, **self._fd_extra_peers}
         return peers
+
+    def _fd_learn(self, slot: int, name: str) -> None:
+        """Route to a member learned at run time; start its silence clock."""
+        self._fd_extra_peers[slot] = name
+        self._fd_last_heard.setdefault(slot, self.now)
 
     def _fd_finished(self) -> bool:
         """Whether the protocol has locally concluded.
@@ -373,18 +397,26 @@ class FailureDetectorMixin:
         Returns the message, or ``None`` after an idle tick (the caller
         just loops).  Once ``max_idle_rounds`` consecutive idle ticks
         pass with no protocol traffic, falls back to a blocking receive
-        so a dead run can quiesce.
+        so a dead run can quiesce.  Both receives are built once per
+        description: the kernel tells blocks apart by epoch, not object.
         """
-        if self._fd is None or self._fd_idle_rounds >= self._fd.max_idle_rounds:
-            msg = yield self.receive(description=description)
+        idle = self._fd_idle.get(description)
+        if idle is None:
+            idle = self._fd_idle[description] = (
+                self.receive(description=description),
+                None if self._fd is None else self.receive_timeout(
+                    timeout=self._fd.tick_interval, description=description
+                ),
+            )
+        block, tick = idle
+        if tick is None or self._fd_idle_rounds >= self._fd.max_idle_rounds:
+            msg = yield block
             return msg
         passive = (
             GOSSIP_KINDS if self._fd.membership == "gossip"
             else _HEARTBEAT_ONLY
         )
-        msg = yield self.receive_timeout(
-            timeout=self._fd.tick_interval, description=description
-        )
+        msg = yield tick
         if msg is not None:
             if msg.kind not in passive:
                 self._fd_idle_rounds = 0
@@ -522,9 +554,7 @@ class FailureDetectorMixin:
         for event in swim.ingest(updates, self.now):
             tag = event[0]
             if tag == "joined":
-                _, slot, name = event
-                self._fd_extra_peers[slot] = name
-                self._fd_last_heard.setdefault(slot, self.now)
+                self._fd_learn(*event[1:])
                 continue
             peers = self._fd_all_peers()
             if tag == "elect":
@@ -880,9 +910,7 @@ class FailureDetectorMixin:
             # probe escalation picks a slot the transport cannot name.
             for event in self._swim_state().ingest(gossip, self.now):
                 if event[0] == "joined":
-                    _, slot, name = event
-                    self._fd_extra_peers[slot] = name
-                    self._fd_last_heard.setdefault(slot, self.now)
+                    self._fd_learn(*event[1:])
 
     # ------------------------------------------------------------------
     # Gossip-disseminated reliable halt
@@ -938,29 +966,9 @@ class FailureDetectorMixin:
                 ))
             if sends:
                 yield sends
-            timeout = self._retry.timeout(attempt)
-            while pending:
-                msg = yield self.receive_timeout(
-                    timeout=timeout,
-                    description=f"{self.name} halting {len(pending)} peers",
-                )
-                if msg is None:
-                    break
-                if msg.corrupted:
-                    continue
-                if msg.kind == HALT_ACK_KIND:
-                    pending.discard(msg.src)
-                    continue
-                if msg.kind == HALT_KIND:
-                    yield self.send(msg.src, None, kind=HALT_ACK_KIND,
-                                    size_bits=HALT_ACK_BITS)
-                    pending.discard(msg.src)
-                    continue
-                yield from self._dispatch(msg)
-            attempt += 1
-            if attempt > self._retry.max_attempts:
-                self.halt_incomplete = True
+            if not (yield from self._await_halt_acks(pending, attempt)):
                 return
+            attempt += 1
 
     # ------------------------------------------------------------------
     # Crash recovery

@@ -799,6 +799,8 @@ class ReliableEndpoint:
         self.halted = False
         self.gave_up = False
         self.halt_incomplete = False
+        #: The candidate wait's label, built once (it keys an idle receive).
+        self._awaiting_candidate = f"{self.name} awaiting candidate"
 
     # ------------------------------------------------------------------
     # Hooks
@@ -948,9 +950,7 @@ class ReliableEndpoint:
                 return entry[0]
             if self._inbox.exhausted:
                 return None
-            msg = yield from self._fd_receive(
-                f"{self.name} awaiting candidate"
-            )
+            msg = yield from self._fd_receive(self._awaiting_candidate)
             if msg is None:
                 if self.halted:
                     return "halt"  # halt arrived during a detector tick
@@ -1030,12 +1030,12 @@ class ReliableEndpoint:
                     frame, bits = self._stamp_frame(frame, bits)
                 self._retry.on_send(key, self.now)
                 yield self.send(dest, frame, kind=kind, size_bits=bits)
-            timeout = self._retry.timeout(attempt)
+            ack = self.receive_timeout(
+                timeout=self._retry.timeout(attempt),
+                description=f"{self.name} awaiting token ack",
+            )
             while self._pending_out:
-                msg = yield self.receive_timeout(
-                    timeout=timeout,
-                    description=f"{self.name} awaiting token ack",
-                )
+                msg = yield ack
                 if msg is None:
                     break
                 code = yield from self._dispatch(msg)
@@ -1072,30 +1072,41 @@ class ReliableEndpoint:
                 self.send(t, None, kind=HALT_KIND, size_bits=1)
                 for t in sorted(pending)
             ]
-            timeout = self._retry.timeout(attempt)
-            while pending:
-                msg = yield self.receive_timeout(
-                    timeout=timeout,
-                    description=f"{self.name} halting {len(pending)} peers",
-                )
-                if msg is None:
-                    break
-                if msg.corrupted:
-                    continue
-                if msg.kind == HALT_ACK_KIND:
-                    pending.discard(msg.src)
-                    continue
-                if msg.kind == HALT_KIND:
-                    yield self.send(msg.src, None, kind=HALT_ACK_KIND,
-                                    size_bits=HALT_ACK_BITS)
-                    pending.discard(msg.src)
-                    continue
-                # Anything else is a stale retransmission needing a re-ack.
-                yield from self._dispatch(msg)
-            attempt += 1
-            if attempt > self._retry.max_attempts:
-                self.halt_incomplete = True
+            if not (yield from self._await_halt_acks(pending, attempt)):
                 return
+            attempt += 1
+
+    def _await_halt_acks(self, pending: set[str], attempt: int):
+        """One halt round's wait: strike acking targets off ``pending``
+        until the round's timeout passes.
+
+        Returns False, with ``halt_incomplete`` set, once round
+        ``attempt`` was the last the retry budget allows.
+        """
+        timeout = self._retry.timeout(attempt)
+        while pending:
+            msg = yield self.receive_timeout(
+                timeout=timeout,
+                description=f"{self.name} halting {len(pending)} peers",
+            )
+            if msg is None:
+                break
+            if msg.corrupted:
+                continue
+            if msg.kind == HALT_ACK_KIND:
+                pending.discard(msg.src)
+                continue
+            if msg.kind == HALT_KIND:
+                yield self.send(msg.src, None, kind=HALT_ACK_KIND,
+                                size_bits=HALT_ACK_BITS)
+                pending.discard(msg.src)
+                continue
+            # Anything else is a stale retransmission needing a re-ack.
+            yield from self._dispatch(msg)
+        if attempt + 1 > self._retry.max_attempts:
+            self.halt_incomplete = True
+            return False
+        return True
 
     def _linger(self):
         """Answer straggler retransmissions briefly, then exit.

@@ -41,7 +41,6 @@ from repro.detect.base import (
     RED,
     TOKEN_KIND,
     DetectionReport,
-    app_name,
     monitor_name,
 )
 from repro.detect.launch import OnlineRun
@@ -348,18 +347,6 @@ class TokenVCGlue(StackGlue):
 
     def _fd_slot(self) -> int:
         return self._slot
-
-    def _fd_peers(self) -> dict[int, str]:
-        return {
-            slot: name
-            for slot, name in enumerate(self._monitors)
-            if slot != self._slot
-        }
-
-    def _halt_targets(self) -> list[str]:
-        peers = [m for m in self._monitors if m != self.name]
-        feeders = [app_name(int(m.removeprefix("mon-"))) for m in self._monitors]
-        return peers + feeders
 
     def _handle_frame(self, frame: TokenFrame):
         """One (possibly resumed) token visit over the held frame."""

@@ -36,7 +36,6 @@ from repro.detect.base import (
     RED,
     TOKEN_KIND,
     DetectionReport,
-    app_name,
     monitor_name,
 )
 from repro.detect.launch import OnlineRun
@@ -283,9 +282,7 @@ class GroupVCGlue(StackGlue):
         return peers
 
     def _halt_targets(self) -> list[str]:
-        peers = [m for m in self._monitors if m != self.name]
-        feeders = [app_name(int(m.removeprefix("mon-"))) for m in self._monitors]
-        return peers + [LEADER_NAME] + feeders
+        return [*super()._halt_targets(), LEADER_NAME]
 
     def _handle_frame(self, frame: TokenFrame):
         """One (possibly crash-resumed) visit of the held group token."""
@@ -340,10 +337,6 @@ class LeaderGlue(StackGlue):
 
     def _fd_peers(self) -> dict[int, str]:
         return dict(enumerate(self._monitors))
-
-    def _halt_targets(self) -> list[str]:
-        feeders = [app_name(int(m.removeprefix("mon-"))) for m in self._monitors]
-        return list(self._monitors) + feeders
 
     def _idle_description(self) -> str:
         return f"{self.name} awaiting group tokens"

@@ -50,6 +50,23 @@ from repro.simulation.observers import (
 __all__ = ["Kernel", "SimulationResult"]
 
 
+#: The effect classes ``Kernel._advance`` dispatches on by exact type.
+_EFFECTS = frozenset({Send, Receive, Sleep, Work})
+
+
+def _effect_class(name: str, effect: object) -> type:
+    """The class a yielded value is handled as: the effect class it
+    subclasses, or ``list`` for a list or tuple of sends."""
+    for base in (Send, Receive, Sleep, Work):
+        if isinstance(effect, base):
+            return base
+    if isinstance(effect, (list, tuple)):
+        return list
+    raise SimulationError(
+        f"actor {name} yielded unsupported effect {type(effect).__name__}"
+    )
+
+
 class _Status(Enum):
     NEW = "new"
     READY = "ready"
@@ -124,8 +141,11 @@ class Kernel:
         observers: list | None = None,
         faults: FaultPlan | None = None,
     ) -> None:
-        if max_steps <= 0:
-            raise SimulationError("max_steps must be positive")
+        # A NaN bound would disarm the livelock guard: take ints only.
+        if type(max_steps) is not int or max_steps < 1:
+            raise SimulationError(
+                f"max_steps must be a positive integer, got {max_steps!r}"
+            )
         self._observers = list(observers or [])
         self._channel = channel_model or FixedLatency(1.0)
         self._rng = spawn_rng(seed, "kernel")
@@ -408,7 +428,7 @@ class Kernel:
         for msg in state.mailbox:  # mailbox loss
             state.actor.metrics.adjust_space(-msg.size_bits)  # type: ignore[union-attr]
             self.metrics.record_channel_fault(msg.src, msg.dest, "lost_to_crash")
-            self._notify_fault(msg, lost=True)
+            self._notify(MessagePhase.LOST, msg)
         state.mailbox.clear()
         state.pending_receive = None
         state.block_epoch += 1
@@ -429,12 +449,6 @@ class Kernel:
         self._notify_actor("restarted", name)
         self._advance(state, None)
 
-    def _notify_fault(self, message: Message, lost: bool) -> None:
-        if not self._observers:
-            return
-        phase = MessagePhase.LOST if lost else MessagePhase.DROPPED
-        self._notify(phase, message)
-
     def _deliver(self, message: Message) -> None:
         state = self._states.get(message.dest)
         if state is None:
@@ -450,7 +464,7 @@ class Kernel:
             self.metrics.record_channel_fault(
                 message.src, message.dest, "lost_to_crash"
             )
-            self._notify_fault(message, lost=True)
+            self._notify(MessagePhase.LOST, message)
             return
         self._messages_delivered += 1
         state.mailbox.append(message)
@@ -482,31 +496,17 @@ class Kernel:
                 state.status = _Status.FINISHED
                 raise SimulationError(f"actor {name} raised: {exc!r}") from exc
             value = None
-            if isinstance(effect, Send):
+            cls = type(effect)
+            if cls not in _EFFECTS:
+                cls = _effect_class(name, effect)
+            if cls is Send:
                 self._handle_send(state, effect)
-            elif isinstance(effect, (list, tuple)):
-                for item in effect:
-                    if not isinstance(item, Send):
-                        raise SimulationError(
-                            f"actor {name} yielded a sequence containing "
-                            f"{type(item).__name__}; only Send lists are allowed"
-                        )
-                    self._handle_send(state, item)
-            elif isinstance(effect, Work):
-                state.actor.metrics.charge_work(effect.units)  # type: ignore[union-attr]
-            elif isinstance(effect, Sleep):
-                state.status = _Status.SLEEPING
-                self._schedule(
-                    self._time + effect.duration,
-                    "resume",
-                    (name, None, state.incarnation),
-                )
-                return
-            elif isinstance(effect, Receive):
-                msg = self._match_from_mailbox(state, effect)
-                if msg is not None:
-                    value = msg
-                    continue
+            elif cls is Receive:
+                if state.mailbox:
+                    msg = self._match_from_mailbox(state, effect)
+                    if msg is not None:
+                        value = msg
+                        continue
                 state.status = _Status.BLOCKED
                 state.pending_receive = effect
                 state.block_epoch += 1
@@ -517,11 +517,24 @@ class Kernel:
                         (name, state.block_epoch),
                     )
                 return
-            else:
-                raise SimulationError(
-                    f"actor {name} yielded unsupported effect "
-                    f"{type(effect).__name__}"
+            elif cls is Sleep:
+                state.status = _Status.SLEEPING
+                self._schedule(
+                    self._time + effect.duration,
+                    "resume",
+                    (name, None, state.incarnation),
                 )
+                return
+            elif cls is Work:
+                state.actor.metrics.charge_work(effect.units)  # type: ignore[union-attr]
+            else:  # a list or tuple of sends
+                for item in effect:
+                    if not isinstance(item, Send):
+                        raise SimulationError(
+                            f"actor {name} yielded a sequence containing "
+                            f"{type(item).__name__}; only Send lists are allowed"
+                        )
+                    self._handle_send(state, item)
 
     def _handle_send(self, state: _ActorState, effect: Send) -> None:
         """Schedule the delivery of each copy of one send.
@@ -531,7 +544,8 @@ class Kernel:
         is one clean copy; with one, :meth:`_copies` decides how many
         copies survive and which are corruption-marked.  Each copy draws
         its own latency and respects the FIFO clamp in schedule order;
-        observers see the first copy as the send.
+        observers see the first copy as the send.  Each copy takes two
+        seqs: its envelope's, then its delivery event's.
         """
         src = state.actor.name
         dest = effect.dest
@@ -539,26 +553,35 @@ class Kernel:
             raise SimulationError(
                 f"actor {src} sends to unknown actor {dest!r}"
             )
-        state.actor.metrics.charge_send(effect.kind, effect.size_bits)  # type: ignore[union-attr]
+        kind = effect.kind
+        size_bits = effect.size_bits
+        state.actor.metrics.charge_send(kind, size_bits)  # type: ignore[union-attr]
         copies = (False,) if self._faults is None else self._copies(src, effect)
-        fifo = self._channel.is_fifo(src, dest, effect.kind)
+        channel = self._channel
+        fifo = channel.is_fifo(src, dest, kind)
         notify = bool(self._observers)
+        now = self._time
         for corrupted in copies:
-            latency = self._channel.latency(src, dest, effect.kind, self._rng)
+            latency = channel.latency(src, dest, kind, self._rng)
             if latency < 0:  # pragma: no cover - defensive
                 raise SimulationError("channel model produced negative latency")
-            delivery = self._time + latency
+            delivery = now + latency
             if fifo:
                 key = (src, dest)
                 delivery = max(delivery, self._last_fifo_delivery.get(key, 0.0))
                 self._last_fifo_delivery[key] = delivery
             if corrupted:
                 self.metrics.record_channel_fault(src, dest, "corrupted")
-            message = self._make_message(src, effect, delivery, corrupted)
+            self._seq = seq = self._seq + 1
+            message = Message(
+                seq, src, dest, kind, effect.payload, size_bits, now,
+                delivery, corrupted,
+            )
             if notify:
                 self._notify(MessagePhase.SENT, message)
                 notify = False
-            self._schedule(delivery, "deliver", message)
+            self._seq = seq = seq + 1
+            heapq.heappush(self._queue, (delivery, seq, "deliver", message))
 
     def _copies(self, src: str, effect: Send) -> list[bool]:
         """The fault plan's verdict on one send: a corrupted flag per copy.
@@ -583,47 +606,41 @@ class Kernel:
             fault = "dropped"
         self.metrics.record_channel_fault(src, dest, fault)
         if self._observers:
-            self._notify_fault(
-                self._make_message(src, effect, float("inf")), lost=False
-            )
+            self._seq += 1
+            self._notify(MessagePhase.DROPPED, Message(
+                self._seq, src, dest, effect.kind, effect.payload,
+                effect.size_bits, self._time, float("inf"),
+            ))
         return []
-
-    def _make_message(
-        self, src: str, effect: Send, delivery: float, corrupted: bool = False
-    ) -> Message:
-        """Build a delivery envelope."""
-        return Message(
-            seq=self._next_seq(),
-            src=src,
-            dest=effect.dest,
-            kind=effect.kind,
-            payload=effect.payload,
-            size_bits=effect.size_bits,
-            sent_at=self._time,
-            delivered_at=delivery,
-            corrupted=corrupted,
-        )
 
     def _match_from_mailbox(
         self, state: _ActorState, receive: Receive
     ) -> Message | None:
-        for i, msg in enumerate(state.mailbox):
-            if receive.match is None or receive.match(msg):
-                del state.mailbox[i]
-                metrics = state.actor.metrics
-                assert metrics is not None
-                metrics.charge_receive(msg.kind, msg.size_bits)
-                metrics.adjust_space(-msg.size_bits)
-                if self._observers:
-                    self._notify(MessagePhase.CONSUMED, msg)
-                return msg
-        return None
+        """Take the earliest-delivered message ``receive`` matches.
+
+        The mailbox is in delivery order, so a receive that matches
+        anything takes its head.  Callers only ask with mail buffered.
+        """
+        mailbox = state.mailbox
+        match = receive.match
+        if match is None:
+            msg = mailbox.pop(0)
+        else:
+            for i, msg in enumerate(mailbox):
+                if match(msg):
+                    del mailbox[i]
+                    break
+            else:
+                return None
+        metrics = state.actor.metrics
+        assert metrics is not None
+        metrics.charge_receive(msg.kind, msg.size_bits)
+        metrics.adjust_space(-msg.size_bits)
+        if self._observers:
+            self._notify(MessagePhase.CONSUMED, msg)
+        return msg
 
     # ------------------------------------------------------------------
     def _schedule(self, time: float, action: str, payload: object) -> None:
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (time, seq, action, payload))
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq

@@ -9,7 +9,8 @@ clamping each delivery to be no earlier than the previous delivery on
 the same directed channel.
 
 All latency draws use the kernel's seeded RNG, so simulations are
-reproducible.
+reproducible.  Every parameter must be a finite number: a NaN or
+infinite latency would break the kernel's ``(time, seq)`` event order.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.common.errors import ConfigurationError
+from repro.common.validation import require_finite
 
 __all__ = [
     "ChannelModel",
@@ -56,8 +57,7 @@ class FixedLatency(ChannelModel):
     fifo: bool = True
 
     def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ConfigurationError(f"latency must be >= 0, got {self.value}")
+        require_finite(self.value, "value")
 
     def latency(self, src: str, dest: str, kind: str, rng: random.Random) -> float:
         return self.value
@@ -78,8 +78,7 @@ class ExponentialLatency(ChannelModel):
     fifo: bool = True
 
     def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ConfigurationError(f"mean latency must be > 0, got {self.mean}")
+        require_finite(self.mean, "mean", strict=True)
 
     def latency(self, src: str, dest: str, kind: str, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mean)
@@ -105,12 +104,8 @@ class KindBiasedLatency(ChannelModel):
         fifo: bool = True,
     ) -> None:
         for kind, mean in kind_means.items():
-            if mean <= 0:
-                raise ConfigurationError(
-                    f"mean latency for kind {kind!r} must be > 0, got {mean}"
-                )
-        if default_mean <= 0:
-            raise ConfigurationError("default_mean must be > 0")
+            require_finite(mean, f"kind_means[{kind!r}]", strict=True)
+        require_finite(default_mean, "default_mean", strict=True)
         self._means = dict(kind_means)
         self._default = default_mean
         self._fifo = fifo
@@ -142,8 +137,7 @@ class NonFifoLatency(ChannelModel):
     fifo_dest_prefix: str = "mon-"
 
     def __post_init__(self) -> None:
-        if self.mean <= 0:
-            raise ConfigurationError(f"mean latency must be > 0, got {self.mean}")
+        require_finite(self.mean, "mean", strict=True)
 
     def latency(self, src: str, dest: str, kind: str, rng: random.Random) -> float:
         return rng.expovariate(1.0 / self.mean)
@@ -163,10 +157,8 @@ class UniformLatency(ChannelModel):
     fifo: bool = True
 
     def __post_init__(self) -> None:
-        if not 0 <= self.low <= self.high:
-            raise ConfigurationError(
-                f"need 0 <= low <= high, got [{self.low}, {self.high}]"
-            )
+        require_finite(self.low, "low")
+        require_finite(self.high, "high", self.low)
 
     def latency(self, src: str, dest: str, kind: str, rng: random.Random) -> float:
         return rng.uniform(self.low, self.high)

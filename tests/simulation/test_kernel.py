@@ -5,6 +5,7 @@ import pytest
 from repro.common import SimulationError
 from repro.simulation import (
     Actor,
+    ChannelModel,
     ExponentialLatency,
     FixedLatency,
     Kernel,
@@ -99,6 +100,33 @@ class TestBasics:
         k.add_actor(Once("a", ["not an effect"]))
         with pytest.raises(SimulationError, match="unsupported effect"):
             k.run()
+
+    def test_effect_subclasses_act_as_their_base(self):
+        """Only the four effect classes take the exact-type dispatch; a
+        subclass of one is still handled as its base."""
+
+        class MySend(Send):
+            pass
+
+        class MyReceive(Receive):
+            pass
+
+        class MySleep(Sleep):
+            pass
+
+        class MyWork(Work):
+            pass
+
+        k = Kernel()
+        a = Once("a", [MyWork(3), MySleep(2.0), MySend("b", "hi", kind="m")])
+        b = Once("b", [MyReceive(None, "waiting")])
+        k.add_actor(a)
+        k.add_actor(b)
+        result = k.run()
+        assert a.results == [None, None, None]
+        assert b.results[0].payload == "hi"
+        assert result.time == 3.0 and not result.deadlocked
+        assert a.metrics.work_units == 3
 
     def test_actor_lookup(self):
         k = Kernel()
@@ -257,6 +285,47 @@ class TestBlockingAndDeadlock:
         k.run()
         assert a.got == "whatever"
 
+    @pytest.mark.parametrize("any_receive", ["receive", "receive_matching"])
+    def test_receive_any_takes_earliest_delivered_then_seq(self, any_receive):
+        """With mail of mixed kinds buffered, a match-anything receive and
+        an always-true matcher both take the earliest delivery first,
+        ties broken by seq."""
+
+        class ByKind(ChannelModel):
+            def latency(self, src, dest, kind, rng):
+                return 3.0 if kind == "slow" else 1.0
+
+            def is_fifo(self, src, dest, kind):
+                return False
+
+        class Drain(Actor):
+            def __init__(self):
+                super().__init__("drain")
+                self.got = []
+
+            def run(self):
+                yield self.sleep(5.0)
+                for _ in range(5):
+                    if any_receive == "receive":
+                        msg = yield self.receive()
+                    else:
+                        msg = yield self.receive_matching(lambda m: True)
+                    self.got.append((msg.delivered_at, msg.seq, msg.payload))
+
+        k = Kernel(channel_model=ByKind())
+        d = Drain()
+        k.add_actor(d)
+        k.add_actor(Once("src", [
+            Send("drain", "s1", kind="slow"),
+            Send("drain", "a1", kind="a"),
+            Send("drain", "b1", kind="b"),
+            Send("drain", "s2", kind="slow"),
+            Send("drain", "a2", kind="a"),
+        ]))
+        k.run()
+        assert [p for _t, _s, p in d.got] == ["a1", "b1", "a2", "s1", "s2"]
+        assert d.got == sorted(d.got)
+
     def test_messages_to_finished_actor_are_buffered(self):
         k = Kernel()
         k.add_actor(Once("gone", []))
@@ -337,3 +406,12 @@ class TestWorkAccounting:
     def test_invalid_config(self):
         with pytest.raises(SimulationError):
             Kernel(max_steps=0)
+
+    @pytest.mark.parametrize(
+        "max_steps", [float("nan"), float("inf"), 2.5, 1.0, True]
+    )
+    def test_max_steps_must_be_a_positive_int(self, max_steps):
+        """A NaN bound never trips the livelock guard; floats and bools
+        are not step counts either."""
+        with pytest.raises(SimulationError, match="max_steps"):
+            Kernel(max_steps=max_steps)

@@ -5,12 +5,20 @@ import random
 import pytest
 
 from repro.common import ConfigurationError
+from repro.detect import run_detector
+from repro.predicates import WeakConjunctivePredicate
 from repro.simulation import (
     ChannelModel,
     ExponentialLatency,
     FixedLatency,
+    KindBiasedLatency,
+    NonFifoLatency,
     UniformLatency,
 )
+from repro.trace import random_computation
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class TestFixedLatency:
@@ -65,3 +73,45 @@ class TestBaseModel:
         m = ChannelModel()
         assert m.latency("a", "b", "k", random.Random(0)) == 1.0
         assert m.is_fifo("a", "b", "k")
+
+
+def _token_vc_with_nan_latency():
+    """A NaN latency once put NaN times in the event heap, breaking the
+    (time, seq) order: token_vc then reported P0:2, P1:6, P2:4, P3:2 at
+    time nan instead of the first cut P0:1, P1:5, P2:4, P3:2."""
+    comp = random_computation(
+        4, 6, seed=3, predicate_density=0.5, plant_final_cut=True
+    )
+    wcp = WeakConjunctivePredicate.of_flags(range(4))
+    run_detector("token_vc", comp, wcp, channel_model=FixedLatency(NAN))
+
+
+class TestNonFiniteRejected:
+    """Every channel-model parameter must be a finite number: NaN passes
+    a bare ``< 0`` check, and NaN or infinite delivery times break the
+    kernel's event order."""
+
+    @pytest.mark.parametrize(
+        ("build", "field"),
+        [
+            (lambda: FixedLatency(NAN), "value"),
+            (lambda: FixedLatency(INF), "value"),
+            (lambda: ExponentialLatency(NAN), "mean"),
+            (lambda: ExponentialLatency(INF), "mean"),
+            (lambda: NonFifoLatency(NAN), "mean"),
+            (lambda: NonFifoLatency(INF), "mean"),
+            (lambda: UniformLatency(0.0, INF), "high"),
+            (lambda: KindBiasedLatency({"token": NAN}), "kind_means"),
+            (lambda: KindBiasedLatency({"token": INF}), "kind_means"),
+            (lambda: KindBiasedLatency({}, default_mean=NAN), "default_mean"),
+            (_token_vc_with_nan_latency, "value"),
+        ],
+        ids=[
+            "fixed-nan", "fixed-inf", "exp-nan", "exp-inf", "nonfifo-nan",
+            "nonfifo-inf", "uniform-high-inf",
+            "kind-nan", "kind-inf", "kind-default-nan", "token_vc-fixed-nan",
+        ],
+    )
+    def test_rejected_naming_the_field(self, build, field):
+        with pytest.raises(ConfigurationError, match=field):
+            build()

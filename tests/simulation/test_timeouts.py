@@ -82,6 +82,47 @@ class TestReceiveTimeout:
         assert tw.history == ["first", None]
         assert result.time == 32.0
 
+    def test_one_receive_object_reused_across_blocks(self):
+        """An actor may yield the same ``Receive`` for every wait: each
+        block gets its own timeout, and a timer armed by an earlier
+        block never ends a later one."""
+
+        class Reuser(Actor):
+            def __init__(self):
+                super().__init__("r")
+                self.history = []
+
+            def run(self):
+                wait = self.receive_timeout("m", timeout=10.0)
+                for _ in range(4):
+                    msg = yield wait
+                    self.history.append(
+                        (None if msg is None else msg.payload, self.now)
+                    )
+
+        class Sender(Actor):
+            def __init__(self):
+                super().__init__("s")
+
+            def run(self):
+                yield self.sleep(1.0)
+                yield self.send("r", "first", kind="m")   # arrives 2
+                yield self.sleep(9.0)
+                yield self.send("r", "second", kind="m")  # arrives 11
+                yield self.sleep(14.0)
+                yield self.send("r", "third", kind="m")   # arrives 25
+
+        k = Kernel()  # unit latency
+        r = Reuser()
+        k.add_actor(r)
+        k.add_actor(Sender())
+        k.run()
+        # The first block's timer fires at 10 and the second's at 12:
+        # neither may end the block that followed it.
+        assert r.history == [
+            ("first", 2.0), ("second", 11.0), (None, 21.0), ("third", 25.0)
+        ]
+
     def test_zero_timeout_rejected(self):
         with pytest.raises(ValueError):
             Receive(None, timeout=0)
