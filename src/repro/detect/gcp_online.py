@@ -8,7 +8,10 @@ endpoint's candidate can be eliminated outright, because the clause
 stays false however far the *other* endpoint advances (see
 :class:`repro.predicates.channel.LinearChannelPredicate`).
 
-The checker extends the Garg–Waldecker elimination loop: snapshots carry
+The checker is [7]'s (:class:`repro.detect.centralized.CheckerActor`,
+run by the same launch) with a channel-clause phase after each pass of
+the one Garg–Waldecker elimination loop
+(:class:`repro.detect.elimination.Elimination`): snapshots carry
 per-channel send/receive counters; once the candidate heads are pairwise
 concurrent, each channel clause is evaluated on
 ``sends(src) − recvs(dest)``; a false clause eliminates its culprit's
@@ -21,140 +24,24 @@ snapshot streams.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.common.types import WORD_BITS
-from repro.detect.base import DetectionReport, app_name
-from repro.detect.centralized import CHECKER_NAME, _SlotFeeder
+from repro.detect.base import DetectionReport
+from repro.detect.centralized import run_checker
 from repro.predicates.channel import LinearChannelPredicate
 from repro.predicates.conjunctive import WeakConjunctivePredicate
-from repro.simulation.actors import Actor
-from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
-from repro.simulation.replay import (
-    CANDIDATE_KIND,
-    END_OF_TRACE_KIND,
-    FeedItem,
-)
+from repro.simulation.replay import FeedItem
 from repro.trace.computation import Computation
-from repro.trace.cuts import Cut
 from repro.trace.snapshots import GCPSnapshot, gcp_snapshots
 
-__all__ = ["GCPCheckerActor", "detect_gcp_online"]
+__all__ = ["detect_gcp_online"]
 
 
-class GCPCheckerActor(Actor):
-    """The [6] checker: WCP elimination plus linear channel clauses."""
-
-    def __init__(
-        self,
-        pids: tuple[int, ...],
-        channels: Sequence[LinearChannelPredicate],
-    ) -> None:
-        super().__init__(CHECKER_NAME)
-        self._pids = pids
-        self._slot_of = {pid: slot for slot, pid in enumerate(pids)}
-        self._channels = tuple(channels)
-        self.detected = False
-        self.detected_cut: tuple[int, ...] | None = None
-        self.detected_at: float | None = None
-        self.eliminations = 0
-        self.channel_eliminations = 0
-        self.comparisons = 0
-
-    def run(self):
-        n = len(self._pids)
-        queues: list[deque[GCPSnapshot]] = [deque() for _ in range(n)]
-        closed = [False] * n
-        pending: deque[int] = deque()
-        in_pending = [False] * n
-
-        def mark_pending(slot: int) -> None:
-            if not in_pending[slot]:
-                in_pending[slot] = True
-                pending.append(slot)
-
-        def hb(i: int, j: int) -> bool:
-            pid_i = self._pids[i]
-            return queues[i][0].vector[pid_i] <= queues[j][0].vector[pid_i]
-
-        def pop(slot: int) -> None:
-            snapshot = queues[slot].popleft()
-            self.metrics.adjust_space(-self._snapshot_bits(snapshot))
-            self.eliminations += 1
-            if queues[slot]:
-                mark_pending(slot)
-
-        while True:
-            msg = yield self.receive(CANDIDATE_KIND, END_OF_TRACE_KIND)
-            if msg.kind == END_OF_TRACE_KIND:
-                closed[msg.payload] = True
-            else:
-                slot, snapshot = msg.payload
-                yield self.work(1)
-                was_empty = not queues[slot]
-                queues[slot].append(snapshot)
-                self.metrics.adjust_space(self._snapshot_bits(snapshot))
-                if was_empty:
-                    mark_pending(slot)
-            progressed = True
-            while progressed:
-                progressed = False
-                # Phase 1: pairwise-concurrency elimination.
-                while pending:
-                    i = pending.popleft()
-                    in_pending[i] = False
-                    if not queues[i]:
-                        continue
-                    for j in range(n):
-                        if j == i or not queues[j]:
-                            continue
-                        yield self.work(2)
-                        self.comparisons += 2
-                        if hb(i, j):
-                            loser = i
-                        elif hb(j, i):
-                            loser = j
-                        else:
-                            continue
-                        pop(loser)
-                        if loser == i:
-                            break
-                # Phase 2: channel clauses (need every head present).
-                if all(queues[s] for s in range(n)):
-                    for clause in self._channels:
-                        yield self.work(1)
-                        src_head = queues[self._slot_of[clause.src]][0]
-                        dest_head = queues[self._slot_of[clause.dest]][0]
-                        count = (
-                            src_head.sends[clause.dest]
-                            - dest_head.recvs[clause.src]
-                        )
-                        if not clause.holds_for_count(count):
-                            culprit = self._slot_of[clause.culprit()]
-                            pop(culprit)
-                            self.channel_eliminations += 1
-                            progressed = True
-                            break
-            if any(closed[s] and not queues[s] for s in range(n)):
-                return
-            if all(queues[s] for s in range(n)):
-                self.detected = True
-                self.detected_cut = tuple(
-                    queues[s][0].interval for s in range(n)
-                )
-                self.detected_at = self.now
-                return
-
-    @staticmethod
-    def _snapshot_bits(snapshot: GCPSnapshot) -> int:
-        return (
-            snapshot.vector.size_words()
-            + len(snapshot.sends)
-            + len(snapshot.recvs)
-        ) * WORD_BITS
+def _snapshot_bits(snap: GCPSnapshot) -> int:
+    return (snap.vector.size_words() + len(snap.sends) + len(snap.recvs)) * WORD_BITS
 
 
 def detect_gcp_online(
@@ -174,46 +61,17 @@ def detect_gcp_online(
                 f"channel clause {clause} endpoints must be predicate "
                 f"processes {wcp.pids}"
             )
-    pids = wcp.pids
-    kernel = Kernel(channel_model=channel_model, seed=seed)
-    checker = GCPCheckerActor(pids, channels)
-    kernel.add_actor(checker)
-    channel_pairs = [(c.src, c.dest) for c in channels]
-    streams = gcp_snapshots(computation, wcp.predicate_map(), channel_pairs)
-    for slot, pid in enumerate(pids):
-        items = [
-            FeedItem(
-                payload=(slot, snapshot),
-                size_bits=GCPCheckerActor._snapshot_bits(snapshot),
-                time=snapshot.time,
-            )
-            for snapshot in streams[pid]
-        ]
-        kernel.add_actor(
-            _SlotFeeder(app_name(pid), CHECKER_NAME, items, slot, spacing)
-        )
-    sim = kernel.run()
-    extras = {
-        "comparisons": checker.comparisons,
-        "eliminations": checker.eliminations,
-        "channel_eliminations": checker.channel_eliminations,
-    }
-    if checker.detected:
-        assert checker.detected_cut is not None
-        return DetectionReport(
-            detector="gcp_online",
-            detected=True,
-            cut=Cut(pids, checker.detected_cut),
-            detection_time=checker.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
-        )
-    return DetectionReport(
-        detector="gcp_online",
-        detected=False,
-        sim=sim,
-        metrics=kernel.metrics,
-        extras=extras,
+    streams = gcp_snapshots(
+        computation, wcp.predicate_map(), [(c.src, c.dest) for c in channels]
     )
-
+    items = {
+        pid: [
+            FeedItem(payload=snap, size_bits=_snapshot_bits(snap), time=snap.time)
+            for snap in stream
+        ]
+        for pid, stream in streams.items()
+    }
+    return run_checker(
+        wcp, items, channels, seed=seed, channel_model=channel_model,
+        spacing=spacing,
+    )

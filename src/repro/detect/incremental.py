@@ -5,8 +5,9 @@ actors.  A system that wants to *embed* detection — a test harness, a
 tracing backend — instead feeds events as they are observed and asks
 "has the predicate held yet?".  :class:`IncrementalDetector` provides
 that: it maintains the Fig. 2 application-side state (vector clocks,
-``firstflag``) and the Garg–Waldecker elimination online, event by
-event.
+``firstflag``) and runs the Garg–Waldecker elimination online, event by
+event — the same :class:`~repro.detect.elimination.Elimination` loop as
+the centralized checkers of [7] and [6], without a simulator.
 
 Feeding rules:
 
@@ -26,11 +27,11 @@ suite asserts over randomized feeds in multiple legal orders.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping
 
 from repro.clocks.vector import VectorClock
 from repro.common.errors import DetectionError, InvalidComputationError
+from repro.detect.elimination import Elimination
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.trace.cuts import Cut
 
@@ -76,20 +77,19 @@ class IncrementalDetector:
             for pid in range(num_processes)
         ]
         self._send_tags: dict[int, tuple[int, VectorClock]] = {}
-        # Per predicate slot: queue of (projected vector) candidates.
-        self._queues: list[deque[tuple[int, ...]]] = [
-            deque() for _ in wcp.pids
-        ]
-        self._pending: deque[int] = deque()
-        self._in_pending = [False] * wcp.n
+        self._elim = Elimination(wcp.n)
         self.detected = False
         self.impossible = False
         self.cut: Cut | None = None
-        self.eliminations = 0
         self.candidates_seen = 0
         # The very first states may already satisfy clauses.
         for pid in wcp.pids:
             self._maybe_candidate(pid)
+
+    @property
+    def eliminations(self) -> int:
+        """Candidates deleted so far by the elimination."""
+        return self._elim.eliminations
 
     # ------------------------------------------------------------------
     # Event feed
@@ -162,63 +162,21 @@ class IncrementalDetector:
             return
         state.firstflag = False
         self.candidates_seen += 1
-        slot = self._slot_of[pid]
-        was_empty = not self._queues[slot]
-        self._queues[slot].append(
-            tuple(state.vclock[p] for p in self._wcp.pids)
-        )
-        if was_empty:
-            self._mark_pending(slot)
-        self._eliminate()
-
-    def _mark_pending(self, slot: int) -> None:
-        if not self._in_pending[slot]:
-            self._in_pending[slot] = True
-            self._pending.append(slot)
-
-    def _hb(self, i: int, j: int) -> bool:
-        return self._queues[i][0][i] <= self._queues[j][0][i]
-
-    def _eliminate(self) -> None:
-        n = self._wcp.n
-        queues = self._queues
-        while self._pending:
-            i = self._pending.popleft()
-            self._in_pending[i] = False
-            if not queues[i]:
-                continue
-            for j in range(n):
-                if j == i or not queues[j]:
-                    continue
-                if self._hb(i, j):
-                    loser = i
-                elif self._hb(j, i):
-                    loser = j
-                else:
-                    continue
-                queues[loser].popleft()
-                self.eliminations += 1
-                if queues[loser]:
-                    self._mark_pending(loser)
-                if loser == i:
-                    break
-        if all(queues[s] for s in range(n)):
+        self._elim.push(self._slot_of[pid], state.vclock.project(self._wcp.pids))
+        self._elim.eliminate()
+        heads = self._elim.heads()
+        if heads is not None:
             self.detected = True
-            self.cut = Cut(
-                self._wcp.pids,
-                tuple(queues[s][0][s] for s in range(n)),
-            )
+            self.cut = Cut(self._wcp.pids, heads)
         else:
             self._check_impossible()
 
     def _check_impossible(self) -> None:
-        if self.detected or self.impossible:
-            return
-        for pid in self._wcp.pids:
-            slot = self._slot_of[pid]
-            if self._procs[pid].closed and not self._queues[slot]:
-                self.impossible = True
-                return
+        if not (self.detected or self.impossible):
+            self.impossible = any(
+                self._procs[pid].closed and not self._elim.queues[slot]
+                for pid, slot in self._slot_of.items()
+            )
 
     # ------------------------------------------------------------------
     def verdict(self) -> str:

@@ -60,6 +60,7 @@ from dataclasses import dataclass
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_seed
 from repro.common.types import WORD_BITS
+from repro.common.validation import require_finite
 from repro.detect.base import HALT_KIND, TOKEN_KIND
 from repro.simulation.actors import Actor
 from repro.simulation.replay import CANDIDATE_KIND, END_OF_TRACE_KIND, FeedItem
@@ -477,8 +478,7 @@ class ReliableFeeder(Actor):
         retry: AdaptiveRetryPolicy | None = None,
     ) -> None:
         super().__init__(name)
-        if spacing <= 0:
-            raise ConfigurationError(f"spacing must be > 0, got {spacing}")
+        require_finite(spacing, "spacing", strict=True)
         timed = [i.time for i in items if i.time is not None]
         if timed != sorted(timed):
             raise ConfigurationError("feed item times must be nondecreasing")
@@ -1080,8 +1080,9 @@ class ReliableEndpoint:
         """One halt round's wait: strike acking targets off ``pending``
         until the round's timeout passes.
 
-        Returns False, with ``halt_incomplete`` set, once round
-        ``attempt`` was the last the retry budget allows.
+        Returns False, with ``halt_incomplete`` set, when round
+        ``attempt`` was the last the retry budget allows and some target
+        never acked.
         """
         timeout = self._retry.timeout(attempt)
         while pending:
@@ -1103,7 +1104,7 @@ class ReliableEndpoint:
                 continue
             # Anything else is a stale retransmission needing a re-ack.
             yield from self._dispatch(msg)
-        if attempt + 1 > self._retry.max_attempts:
+        if pending and attempt + 1 > self._retry.max_attempts:
             self.halt_incomplete = True
             return False
         return True

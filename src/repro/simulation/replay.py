@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.validation import require_finite
 from repro.simulation.actors import Actor
 
 __all__ = [
@@ -71,8 +72,7 @@ class SnapshotFeeder(Actor):
         spacing: float = 1.0,
     ) -> None:
         super().__init__(name)
-        if spacing <= 0:
-            raise ConfigurationError(f"spacing must be > 0, got {spacing}")
+        require_finite(spacing, "spacing", strict=True)
         timed = [i.time for i in items if i.time is not None]
         if timed != sorted(timed):
             raise ConfigurationError("feed item times must be nondecreasing")

@@ -16,6 +16,7 @@ from repro.detect.direct_dep_parallel import (
     ParallelDDMonitor,
 )
 from repro.detect.stack import (
+    AdaptiveRetryPolicy,
     FailureDetectorMixin,
     ReliableEndpoint,
     StackedMonitor,
@@ -27,6 +28,7 @@ from repro.detect.stack import (
 from repro.detect.token_vc import TokenVCMonitor
 from repro.simulation.kernel import Kernel
 from repro.simulation.actors import Actor
+from repro.simulation.faults import CrashEvent, FaultPlan
 
 
 class TestHardenFactory:
@@ -84,3 +86,56 @@ class TestTokenInjector:
         kernel.add_actor(TokenInjector("mon-0", "tok", 17))
         kernel.run()
         assert received == [(TOKEN_KIND, "tok", 17)]
+
+
+class _Endpoint(ReliableEndpoint, Actor):
+    """A bare hardened endpoint: halts ``targets`` if given, else waits
+    to be halted."""
+
+    def __init__(self, name, retry, targets=()):
+        super().__init__(name)
+        self._init_reliability(retry)
+        self._targets = targets
+
+    def _dispatch(self, msg):
+        return (yield from self._dispatch_common(msg))
+
+    def run(self):
+        if self._targets:
+            yield from self._reliable_halt(self._targets)
+            return
+        while True:
+            msg = yield self.receive()
+            if (yield from self._dispatch(msg)) == "halt":
+                return
+
+
+class TestReliableHalt:
+    """With ``max_attempts=1`` a halter gets two halt rounds.  Peer ``b``
+    is down from t=0, so the first halt is lost; the second, at t=6,
+    reaches ``b`` if it restarted at t=2 and is lost if it restarts at
+    t=8.  Only the second case is an incomplete halt: the last round the
+    budget allows once set ``halt_incomplete`` even when every target
+    acked in it."""
+
+    @pytest.mark.parametrize(
+        ("restart_at", "acks", "incomplete"),
+        [(2.0, 1, False), (8.0, 0, True)],
+        ids=["acked-in-last-round", "never-acked"],
+    )
+    def test_incomplete_only_while_a_target_never_acked(
+        self, restart_at, acks, incomplete
+    ):
+        retry = AdaptiveRetryPolicy(max_attempts=1, jitter=0.0)
+        kernel = Kernel(
+            faults=FaultPlan(crashes=(CrashEvent("b", 0.0, restart_at),))
+        )
+        halter = _Endpoint("a", retry, targets=("b",))
+        peer = _Endpoint("b", retry)
+        kernel.add_actor(halter)
+        kernel.add_actor(peer)
+        kernel.run()
+        assert kernel.metrics.messages_of_kind("halt") == 2
+        assert kernel.metrics.messages_of_kind("halt_ack") == acks
+        assert peer.halted is not incomplete
+        assert halter.halt_incomplete is incomplete

@@ -2,7 +2,12 @@
 
 import pytest
 
+from repro.analysis.experiments import strip_times
 from repro.common import ConfigurationError
+from repro.detect import run_detector
+from repro.detect.runner import run_service
+from repro.detect.stack import ReliableFeeder
+from repro.predicates import WeakConjunctivePredicate
 from repro.simulation import (
     Actor,
     CANDIDATE_KIND,
@@ -11,6 +16,10 @@ from repro.simulation import (
     Kernel,
     SnapshotFeeder,
 )
+from repro.trace import random_computation
+
+NAN = float("nan")
+INF = float("inf")
 
 
 class Collector(Actor):
@@ -84,8 +93,12 @@ class TestSnapshotFeeder:
             )
 
     def test_bad_spacing_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SnapshotFeeder("app", "mon", [], spacing=0)
+        """Both feeders take a finite ``spacing`` > 0 and name the field:
+        NaN and inf passed the old ``spacing <= 0`` check."""
+        for feeder in (SnapshotFeeder, ReliableFeeder):
+            for spacing in (0, -1.0, NAN, INF):
+                with pytest.raises(ConfigurationError, match="spacing"):
+                    feeder("app", "mon", [], spacing)
 
     def test_bits_accounted(self):
         k = Kernel()
@@ -93,3 +106,41 @@ class TestSnapshotFeeder:
         k.add_actor(SnapshotFeeder("app", "mon", [FeedItem("a", 77, 1.0)]))
         k.run()
         assert k.metrics.of("app").bits_sent == 77 + 1  # candidate + EOT
+
+
+class TestNonFiniteSpacing:
+    """On ``strip_times(random_computation(4, 6, seed=3,
+    predicate_density=0.5, plant_final_cut=True))``, whose first cut is
+    P0:1, P1:5, P2:4, P3:2, a NaN spacing made plain ``token_vc`` and
+    ``direct_dep`` report P0:1, P1:6, P2:4, P3:2 and ``centralized``
+    P0:3, P1:6, P2:8, P3:7, all at time nan; the hardened runs and the
+    service found the right cut at time nan, and an infinite spacing
+    reported time inf.  Every run now refuses the spacing."""
+
+    @pytest.mark.parametrize("spacing", [NAN, INF], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        ("detector", "options"),
+        [
+            ("token_vc", {}),
+            ("direct_dep", {}),
+            ("centralized", {}),
+            ("token_vc", {"hardened": True}),
+        ],
+        ids=["token_vc", "direct_dep", "centralized", "token_vc-hardened"],
+    )
+    def test_detectors_reject_naming_the_field(self, detector, options, spacing):
+        comp = strip_times(random_computation(
+            4, 6, seed=3, predicate_density=0.5, plant_final_cut=True
+        ))
+        wcp = WeakConjunctivePredicate.of_flags(range(4))
+        with pytest.raises(ConfigurationError, match="spacing"):
+            run_detector(detector, comp, wcp, spacing=spacing, **options)
+
+    @pytest.mark.parametrize("spacing", [NAN, INF], ids=["nan", "inf"])
+    def test_service_rejects_naming_the_field(self, spacing):
+        comp = strip_times(random_computation(
+            4, 6, seed=3, predicate_density=0.5, plant_final_cut=True
+        ))
+        wcp = WeakConjunctivePredicate.of_flags(range(4))
+        with pytest.raises(ConfigurationError, match="spacing"):
+            run_service("token_vc", comp, [("q", wcp)], spacing=spacing)
