@@ -24,6 +24,11 @@ points its own ``next_red`` at it.  An empty chain after polling means
 every monitor is green: by Lemmas 4.1/4.2 the ``G`` values form the
 first consistent cut satisfying the WCP.
 
+The visit is written once, as :func:`fig4_visit` over :func:`gather`
+and :func:`poll_deps`, beside Fig. 5's :func:`answer_poll`.  The plain
+§4 monitor, the §4.5 monitor and the hardened glue each supply only a
+candidate source, a one-poll exchange and what to do with the outcome.
+
 Cost accounting (experiment E2): one work unit per candidate consumed,
 per dependence processed, and per poll handled; polls are two words,
 responses and the token one bit each; a snapshot is ``1 + 2·|deps|``
@@ -45,7 +50,6 @@ from repro.detect.base import (
     RED,
     TOKEN_KIND,
     DetectionReport,
-    app_name,
     monitor_name,
 )
 from repro.detect.launch import OnlineRun
@@ -58,10 +62,11 @@ from repro.detect.stack import (
     harden,
     register_glue,
 )
+from repro.detect.token_vc import receive_candidate
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.simulation.actors import Actor
 from repro.simulation.network import ChannelModel
-from repro.simulation.replay import CANDIDATE_KIND, END_OF_TRACE_KIND, FeedItem
+from repro.simulation.replay import FeedItem
 from repro.trace.computation import Computation
 from repro.trace.cuts import Cut
 from repro.trace.snapshots import DDSnapshot, dd_snapshots
@@ -126,6 +131,77 @@ def answer_poll(monitor, poll: Poll) -> PollResponse:
     return PollResponse(became_red=spliced)
 
 
+def gather(monitor, next_candidate):
+    """Fig. 4's repeat-until: consume candidates until one passes ``G``.
+
+    ``next_candidate()`` is a generator returning the next §4.1
+    snapshot, ``None`` at end of trace, or ``"halt"``.  Each candidate's
+    dependences join ``monitor._deplist`` in the block that consumed it,
+    at one work unit.  Returns the first clock above ``G``, which the
+    caller commits, or ``None`` / ``"halt"``.
+    """
+    while True:
+        snap = yield from next_candidate()
+        if snap is None or isinstance(snap, str):
+            return snap
+        monitor._deplist.extend(snap.deps)
+        yield monitor.work(1)
+        if snap.clock > monitor.G:
+            return snap.clock
+
+
+def poll_deps(monitor, poll):
+    """Fig. 4's for-loop: poll the source of every gathered dependence.
+
+    Walks the persisted ``monitor._deplist`` from ``_dep_idx``, so a
+    crash-resumed walk re-drives only the poll in flight.  ``poll(dep)``
+    is a generator running one exchange; it returns the answer's
+    ``became_red``, or ``"halt"`` / ``"gave_up"``, which end the walk
+    (and are returned).  A source that became red is spliced into the
+    red chain right after this monitor; the splice and the poll's
+    retirement commit together.  One work unit per poll driven.
+    """
+    while monitor._dep_idx < len(monitor._deplist):
+        dep = monitor._deplist[monitor._dep_idx]
+        yield monitor.work(1)
+        became_red = yield from poll(dep)
+        if isinstance(became_red, str):
+            return became_red
+        if became_red:
+            monitor.next_red = dep.source
+        monitor._dep_idx += 1
+    return None
+
+
+def fig4_visit(monitor, next_candidate, poll):
+    """One (possibly crash-resumed) Fig. 4 visit of the token holder.
+
+    Gathers until a candidate passes ``G`` and turns green on it in the
+    same atomic block (``Work`` never suspends an actor; a visit resumed
+    after that point skips straight to its walk), then polls every
+    gathered dependence.  Returns ``"halt"`` /
+    ``"gave_up"`` from the candidate source or the exchange, ``"abort"``
+    at end of trace (the eliminated candidates can never satisfy the
+    WCP), ``"detected"`` when the red chain is empty (Lemmas 4.1/4.2:
+    the ``G`` values are the first cut) or ``"forward"`` to
+    ``next_red``: the contract of
+    :meth:`repro.detect.token_vc.Fig3Slot.visit`.
+    """
+    if monitor._visit_phase == "gather":
+        clock = yield from gather(monitor, next_candidate)
+        if clock is None:
+            return "abort"
+        if clock == "halt":
+            return "halt"
+        monitor.G = clock
+        monitor.color = GREEN
+        monitor._visit_phase = "poll"
+    code = yield from poll_deps(monitor, poll)
+    if code is not None:
+        return code
+    return "detected" if monitor.next_red is None else "forward"
+
+
 def dd_feed_items(
     computation: Computation,
     predicates,
@@ -152,7 +228,8 @@ class DirectDepMonitor(Actor):
     """One §4 monitor process (there is one per system process).
 
     Runner-visible attributes: ``G``, ``color``, ``detected`` (on the
-    declaring monitor), ``aborted``.
+    declaring monitor), ``aborted``.  ``_visit_phase`` / ``_deplist`` /
+    ``_dep_idx`` are the visit in progress (see :func:`fig4_visit`).
     """
 
     def __init__(
@@ -160,16 +237,17 @@ class DirectDepMonitor(Actor):
     ) -> None:
         super().__init__(monitor_name(pid))
         self._pid = pid
-        self._n = num_processes
+        self._monitors = [monitor_name(p) for p in range(num_processes)]
         self.G = 0
         self.color = RED
         self.next_red: int | None = initial_next_red
-        # The §4.5 head rule's flag (see answer_poll); §4 never sets it.
+        # The §4.5 head rule's flag (see answer_poll); only §4.5 raises it.
         self.holding = False
         self.detected = False
         self.detected_at: float | None = None
         self.aborted = False
         self.token_visits = 0
+        self._begin_visit()
 
     # ------------------------------------------------------------------
     def run(self):
@@ -180,9 +258,20 @@ class DirectDepMonitor(Actor):
             if msg.kind == POLL_KIND:
                 yield from self._handle_poll(msg)
                 continue
-            finished = yield from self._handle_token()
-            if finished:
+            self.token_visits += 1
+            self._begin_visit()
+            code = yield from fig4_visit(
+                self, partial(receive_candidate, self), self._poll
+            )
+            if (yield from self._conclude(code)):
                 return
+
+    def _begin_visit(self) -> None:
+        """A fresh visit: nothing gathered (a plain visit always ends
+        its walk or the run, so it has nothing to carry over)."""
+        self._visit_phase = "gather"
+        self._deplist: list = []
+        self._dep_idx = 0
 
     # ------------------------------------------------------------------
     def _handle_poll(self, msg):
@@ -193,53 +282,40 @@ class DirectDepMonitor(Actor):
             size_bits=RESPONSE_BITS,
         )
 
-    # ------------------------------------------------------------------
-    def _handle_token(self):
-        """Fig. 4: find a fresh candidate, poll its dependences, pass on."""
-        self.token_visits += 1
-        deplist = []
-        # repeat ... until candidate.clock > G
-        while True:
-            cmsg = yield self.receive(CANDIDATE_KIND, END_OF_TRACE_KIND)
-            if cmsg.kind == END_OF_TRACE_KIND:
-                self.aborted = True
-                yield self._halt_others()
-                return True
-            yield self.work(1)
-            snapshot: DDSnapshot = cmsg.payload
-            deplist.extend(snapshot.deps)
-            if snapshot.clock > self.G:
-                self.G = snapshot.clock
-                break
-        self.color = GREEN
-        # Add dependence sources to the red chain.
-        for dep in deplist:
-            yield self.work(1)
+    def _poll(self, dep):
+        """Fig. 4's poll exchange: send the poll, block on the answer."""
+        yield self._poll_request(dep)
+        msg = yield self.receive(POLL_RESPONSE_KIND)
+        return msg.payload.became_red
+
+    def _poll_request(self, dep):
+        """The poll of ``dep``'s source, carrying this chain pointer."""
+        return self.send(
+            self._monitors[dep.source], Poll(dep.clock, self.next_red),
+            kind=POLL_KIND, size_bits=POLL_BITS,
+        )
+
+    def _conclude(self, code: str):
+        """Act on a visit's outcome; returns True once this monitor is
+        done.  Forwards the empty token along the red chain, or records
+        the verdict and halts every other monitor."""
+        if code == "halt":
+            return True
+        if code == "forward":
+            self.holding = False
             yield self.send(
-                monitor_name(dep.source),
-                Poll(dep.clock, self.next_red),
-                kind=POLL_KIND,
-                size_bits=POLL_BITS,
+                self._monitors[self.next_red], None, kind=TOKEN_KIND,
+                size_bits=TOKEN_BITS,
             )
-            rmsg = yield self.receive(POLL_RESPONSE_KIND)
-            if rmsg.payload.became_red:
-                self.next_red = dep.source
-        if self.next_red is None:
+            return False
+        if code == "abort":
+            self.aborted = True
+        else:
             self.detected = True
             self.detected_at = self.now
-            yield self._halt_others()
-            return True
-        target = self.next_red
-        yield self.send(
-            monitor_name(target), None, kind=TOKEN_KIND, size_bits=TOKEN_BITS
-        )
-        return False
-
-    def _halt_others(self):
-        others = [
-            monitor_name(p) for p in range(self._n) if p != self._pid
-        ]
-        return self.broadcast(others, None, kind=HALT_KIND, size_bits=1)
+        others = [m for m in self._monitors if m != self.name]
+        yield self.broadcast(others, None, kind=HALT_KIND, size_bits=1)
+        return True
 
 
 class DirectDepGlue(StackGlue):
@@ -275,9 +351,6 @@ class DirectDepGlue(StackGlue):
     _fd_can_take_over = False
 
     def _init_visit_state(self) -> None:
-        self._visit_phase = "gather"
-        self._deplist: list = []
-        self._dep_idx = 0
         self._current_tag: tuple | None = None
         self._poll_serial = 0
         self._poll_replies: dict[tuple, PollResponse] = {}
@@ -301,11 +374,6 @@ class DirectDepGlue(StackGlue):
     def _fd_slot(self) -> int:
         return self._pid
 
-    def _fd_peers(self) -> dict[int, str]:
-        return {
-            p: monitor_name(p) for p in range(self._n) if p != self._pid
-        }
-
     def _fd_is_red(self) -> bool:
         # The empty token may only sit at a red monitor (Fig. 4); a
         # green monitor's persisted visit state must not be re-entered.
@@ -319,11 +387,6 @@ class DirectDepGlue(StackGlue):
             return "handled"  # stale duplicate outside a poll exchange
         code = yield from super()._dispatch(msg)
         return code
-
-    def _halt_targets(self) -> list[str]:
-        peers = [monitor_name(p) for p in range(self._n) if p != self._pid]
-        feeders = [app_name(p) for p in range(self._n)]
-        return peers + feeders
 
     # ------------------------------------------------------------------
     def _handle_poll_tagged(self, msg):
@@ -363,76 +426,49 @@ class DirectDepGlue(StackGlue):
 
     def _handle_frame(self, frame: TokenFrame):
         """One (possibly crash-resumed) Fig. 4 token visit."""
-        if self._visit_phase == "gather":
-            # repeat ... until candidate.clock > G
-            while True:
-                snap: DDSnapshot = yield from self._next_candidate()
-                if snap == "halt":
-                    return "halt"
-                if snap is None:
-                    return "abort"
-                # Atomic: dependences and acceptance commit together.
-                self._deplist.extend(snap.deps)
-                if snap.clock > self.G:
-                    self.G = snap.clock
-                    self.color = GREEN
-                    self._visit_phase = "poll"
-                    yield self.work(1)
-                    break
-                yield self.work(1)
-        # Poll the source of every accumulated dependence, exactly once.
-        while self._dep_idx < len(self._deplist):
-            dep = self._deplist[self._dep_idx]
-            if self._current_tag is None:
-                self._current_tag = (self.name, self._poll_serial)
-                self._poll_serial += 1
-            tag = self._current_tag
-            dest = monitor_name(dep.source)
-            request = Tagged(tag, Poll(dep.clock, self.next_red))
-            yield self.work(1)
+        return (
+            yield from fig4_visit(self, self._next_candidate, self._poll_tagged)
+        )
+
+    def _poll_tagged(self, dep):
+        """One exactly-once poll exchange, retransmitted until answered.
+
+        The tag is persisted, so a crash-resumed exchange re-sends the
+        same request; ``_current_tag`` clears in the block in which
+        :func:`poll_deps` retires the dependence.  Returns the answer's
+        ``became_red``, ``"gave_up"`` once the retry budget is spent, or
+        ``"halt"``.
+        """
+        if self._current_tag is None:
+            self._current_tag = (self.name, self._poll_serial)
+            self._poll_serial += 1
+        tag = self._current_tag
+        request = Tagged(tag, Poll(dep.clock, self.next_red))
+        for attempt in range(self._retry.max_attempts + 1):
             self._retry.on_send(tag, self.now)
             yield self.send(
-                dest, request, kind=POLL_KIND, size_bits=POLL_BITS + WORD_BITS
+                monitor_name(dep.source), request, kind=POLL_KIND,
+                size_bits=POLL_BITS + WORD_BITS,
             )
-            attempt = 0
             while True:
                 msg = yield self.receive_timeout(
                     timeout=self._retry.timeout(attempt),
                     description=f"{self.name} awaiting poll response",
                 )
                 if msg is None:
-                    attempt += 1
-                    if attempt > self._retry.max_attempts:
-                        self.gave_up = True
-                        return "gave_up"
-                    self._retry.on_send(tag, self.now)
-                    yield self.send(
-                        dest,
-                        request,
-                        kind=POLL_KIND,
-                        size_bits=POLL_BITS + WORD_BITS,
-                    )
+                    break  # retransmit
+                if msg.kind != POLL_RESPONSE_KIND:
+                    if (yield from self._dispatch(msg)) == "halt":
+                        return "halt"
                     continue
-                if msg.kind == POLL_RESPONSE_KIND:
-                    if msg.corrupted:
-                        continue
-                    tagged: Tagged = msg.payload
-                    if tagged.tag != tag:
-                        continue  # duplicate of an earlier exchange
-                    self._retry.on_ack(tag, self.now)
-                    # Atomic completion: chain update and poll
-                    # retirement commit together.
-                    if tagged.payload.became_red:
-                        self.next_red = dep.source
-                    self._dep_idx += 1
-                    self._current_tag = None
-                    break
-                code = yield from self._dispatch(msg)
-                if code == "halt":
-                    return "halt"
-        if self.next_red is None:
-            return "detected"
-        return "forward"
+                tagged: Tagged = msg.payload
+                if msg.corrupted or tagged.tag != tag:
+                    continue  # garbage, or a duplicate of an earlier exchange
+                self._retry.on_ack(tag, self.now)
+                self._current_tag = None
+                return tagged.payload.became_red
+        self.gave_up = True
+        return "gave_up"
 
 
 register_glue(DirectDepMonitor, DirectDepGlue)

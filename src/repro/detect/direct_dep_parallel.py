@@ -15,12 +15,14 @@ Safety hinges on two rules the paper states:
 * only the token removes a process from the chain, so the chain is never
   broken by concurrent insertions.
 
-Implementation notes: because many monitors are concurrently active,
-every blocking wait (for candidates or poll responses) must also *serve*
-incoming polls, otherwise two searchers polling each other would
-deadlock.  A proactively found candidate is re-validated against ``G``
-before use — an intervening poll may have eliminated it, in which case
-the search resumes.
+Implementation notes: the search and the token phase run the §4 visit
+of :mod:`repro.detect.direct_dep`.  Because many monitors are
+concurrently active, every blocking wait (for candidates or poll
+responses) goes through ``_serve``, which also answers incoming polls;
+otherwise two searchers polling each other would deadlock.  A
+proactively found candidate is re-validated against ``G`` before use —
+an intervening poll may have eliminated it, in which case the search
+resumes.
 
 As a termination extension, a red searcher whose candidate stream ends
 aborts immediately (its eliminated states can never satisfy the WCP), so
@@ -29,6 +31,7 @@ even token-less monitors produce a prompt "not detected".
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING
 
 from repro.detect.base import (
@@ -39,16 +42,14 @@ from repro.detect.base import (
     RED,
     TOKEN_KIND,
     DetectionReport,
-    monitor_name,
 )
 from repro.detect.direct_dep import (
-    POLL_BITS,
-    RESPONSE_BITS,
-    TOKEN_BITS,
     DirectDepGlue,
-    Poll,
+    DirectDepMonitor,
     _run_chain,
-    answer_poll,
+    fig4_visit,
+    gather,
+    poll_deps,
 )
 from repro.detect.launch import OnlineRun
 from repro.detect.stack import (
@@ -58,11 +59,9 @@ from repro.detect.stack import (
     register_glue,
 )
 from repro.predicates.conjunctive import WeakConjunctivePredicate
-from repro.simulation.actors import Actor
 from repro.simulation.network import ChannelModel
 from repro.simulation.replay import CANDIDATE_KIND, END_OF_TRACE_KIND
 from repro.trace.computation import Computation
-from repro.trace.snapshots import DDSnapshot
 
 if TYPE_CHECKING:  # annotation-only: cores stay decoupled from the fault layer
     from repro.simulation.faults import FaultPlan
@@ -74,28 +73,26 @@ __all__ = [
 ]
 
 
-class ParallelDDMonitor(Actor):
-    """A §4.5 monitor: searches proactively while red, serves polls always."""
+#: What a §4.5 monitor waits for: a candidate while searching (the token
+#: may arrive meanwhile) or while holding the token, and a poll's answer.
+_SEARCHING = (CANDIDATE_KIND, END_OF_TRACE_KIND, TOKEN_KIND, POLL_KIND, HALT_KIND)
+_HOLDING = (CANDIDATE_KIND, END_OF_TRACE_KIND, POLL_KIND, HALT_KIND)
+_ANSWER = (POLL_RESPONSE_KIND, POLL_KIND, TOKEN_KIND, HALT_KIND)
+
+
+class ParallelDDMonitor(DirectDepMonitor):
+    """A §4.5 monitor: searches proactively while red, serves polls always.
+
+    ``holding`` is True from entering the token phase until the token
+    is passed on (see :func:`~repro.detect.direct_dep.answer_poll`).
+    """
 
     def __init__(
         self, pid: int, num_processes: int, initial_next_red: int | None
     ) -> None:
-        super().__init__(monitor_name(pid))
-        self._pid = pid
-        self._n = num_processes
-        self.G = 0
-        self.color = RED
-        self.next_red: int | None = initial_next_red
+        super().__init__(pid, num_processes, initial_next_red)
         self.pending: int | None = None  # pre-validated candidate clock
         self.has_token = False
-        # True while this monitor is the chain head (from entering its
-        # token phase until it passes the token on): see answer_poll.
-        self.holding = False
-        self.exhausted = False
-        self.detected = False
-        self.detected_at: float | None = None
-        self.aborted = False
-        self.token_visits = 0
         self.proactive_searches = 0
 
     # ------------------------------------------------------------------
@@ -106,7 +103,7 @@ class ParallelDDMonitor(Actor):
                 if (yield from self._token_phase()):
                     return
                 continue
-            if self.color == RED and not self.exhausted and not self._pending_valid():
+            if self.color == RED and not self._pending_valid():
                 if (yield from self._search_phase()):
                     return
                 continue
@@ -114,12 +111,38 @@ class ParallelDDMonitor(Actor):
             if msg.kind == HALT_KIND:
                 return
             if msg.kind == POLL_KIND:
-                yield from self._respond_poll(msg)
+                yield from self._handle_poll(msg)
                 continue
             self.has_token = True
 
     def _pending_valid(self) -> bool:
         return self.pending is not None and self.pending > self.G
+
+    # ------------------------------------------------------------------
+    def _serve(self, *kinds):
+        """The next message of ``kinds`` (``None`` on halt), answering
+        polls and noting the token's arrival meanwhile."""
+        while True:
+            msg = yield self.receive(*kinds)
+            if msg.kind == POLL_KIND:
+                yield from self._handle_poll(msg)
+            elif msg.kind == TOKEN_KIND:
+                self.has_token = True
+            else:
+                return None if msg.kind == HALT_KIND else msg
+
+    def _candidate(self, kinds):
+        """A candidate source for :func:`gather`, waiting on ``kinds``."""
+        msg = yield from self._serve(*kinds)
+        if msg is None:
+            return "halt"
+        return None if msg.kind == END_OF_TRACE_KIND else msg.payload
+
+    def _poll(self, dep):
+        """The poll exchange, serving polls and the token meanwhile."""
+        yield self._poll_request(dep)
+        msg = yield from self._serve(*_ANSWER)
+        return "halt" if msg is None else msg.payload.became_red
 
     # ------------------------------------------------------------------
     def _search_phase(self):
@@ -128,48 +151,24 @@ class ParallelDDMonitor(Actor):
         Returns True when the actor should terminate (halt/abort).
         """
         self.proactive_searches += 1
-        deplist: list = []
-        found: int | None = None
-        while found is None:
-            msg = yield self.receive(
-                CANDIDATE_KIND,
-                END_OF_TRACE_KIND,
-                TOKEN_KIND,
-                POLL_KIND,
-                HALT_KIND,
-            )
-            if msg.kind == HALT_KIND:
-                return True
-            if msg.kind == TOKEN_KIND:
-                self.has_token = True  # keep searching; adopt result on exit
-                continue
-            if msg.kind == POLL_KIND:
-                yield from self._respond_poll(msg)
-                continue
-            if msg.kind == END_OF_TRACE_KIND:
-                self.aborted = True
-                yield self._halt_others()
-                return True
-            yield self.work(1)
-            snapshot: DDSnapshot = msg.payload
-            deplist.extend(snapshot.deps)
-            if snapshot.clock > self.G:
-                found = snapshot.clock
-        if (yield from self._poll_deps(deplist)):
+        self._begin_visit()
+        found = yield from gather(self, partial(self._candidate, _SEARCHING))
+        if found is None:
+            return (yield from self._conclude("abort"))
+        if found == "halt" or (yield from poll_deps(self, self._poll)) == "halt":
             return True
         # Commit only if no intervening poll eliminated the candidate.
         self.pending = found if found > self.G else None
         return False
 
-    # ------------------------------------------------------------------
     def _token_phase(self):
-        """Token visit: adopt the pre-validated candidate or search inline.
+        """Token visit: adopt the pre-validated candidate or run Fig. 4.
 
         While the visit is in progress a concurrent searcher may poll us
         and eliminate the candidate we just went green on; the
         ``holding`` flag makes that repaint keep our chain pointer, and
-        the outer loop simply acquires another candidate before the
-        token moves on.
+        the loop simply acquires another candidate before the token
+        moves on.
         """
         self.token_visits += 1
         self.holding = True
@@ -180,85 +179,18 @@ class ParallelDDMonitor(Actor):
                 self.pending = None
                 self.color = GREEN
             else:
-                deplist: list = []
-                while True:
-                    msg = yield self.receive(
-                        CANDIDATE_KIND, END_OF_TRACE_KIND, POLL_KIND, HALT_KIND
-                    )
-                    if msg.kind == HALT_KIND:
-                        return True
-                    if msg.kind == POLL_KIND:
-                        yield from self._respond_poll(msg)
-                        continue
-                    if msg.kind == END_OF_TRACE_KIND:
-                        self.aborted = True
-                        yield self._halt_others()
-                        return True
-                    yield self.work(1)
-                    snapshot: DDSnapshot = msg.payload
-                    deplist.extend(snapshot.deps)
-                    if snapshot.clock > self.G:
-                        self.G = snapshot.clock
-                        break
-                self.color = GREEN
-                if (yield from self._poll_deps(deplist)):
-                    return True
+                self._begin_visit()
+                code = yield from fig4_visit(
+                    self, partial(self._candidate, _HOLDING), self._poll
+                )
+                if code in ("halt", "abort"):
+                    return (yield from self._conclude(code))
             if self.color == GREEN:
                 break
             # A poll served during this visit eliminated our fresh
             # candidate; stay at the head and search again.
-        if self.next_red is None:
-            self.detected = True
-            self.detected_at = self.now
-            yield self._halt_others()
-            return True
-        target = self.next_red
-        self.holding = False
-        yield self.send(
-            monitor_name(target), None, kind=TOKEN_KIND, size_bits=TOKEN_BITS
-        )
-        return False
-
-    # ------------------------------------------------------------------
-    def _poll_deps(self, deplist):
-        """Poll every dependence source, serving polls/token meanwhile."""
-        for dep in deplist:
-            yield self.work(1)
-            yield self.send(
-                monitor_name(dep.source),
-                Poll(dep.clock, self.next_red),
-                kind=POLL_KIND,
-                size_bits=POLL_BITS,
-            )
-            while True:
-                msg = yield self.receive(
-                    POLL_RESPONSE_KIND, POLL_KIND, TOKEN_KIND, HALT_KIND
-                )
-                if msg.kind == HALT_KIND:
-                    return True
-                if msg.kind == TOKEN_KIND:
-                    self.has_token = True
-                    continue
-                if msg.kind == POLL_KIND:
-                    yield from self._respond_poll(msg)
-                    continue
-                if msg.payload.became_red:
-                    self.next_red = dep.source
-                break
-        return False
-
-    # ------------------------------------------------------------------
-    def _respond_poll(self, msg):
-        """Fig. 5 with the §4.5 head rule (see :func:`answer_poll`)."""
-        yield self.work(1)
-        yield self.send(
-            msg.src, answer_poll(self, msg.payload), kind=POLL_RESPONSE_KIND,
-            size_bits=RESPONSE_BITS,
-        )
-
-    def _halt_others(self):
-        others = [monitor_name(p) for p in range(self._n) if p != self._pid]
-        return self.broadcast(others, None, kind=HALT_KIND, size_bits=1)
+        code = "detected" if self.next_red is None else "forward"
+        return (yield from self._conclude(code))
 
 
 class ParallelDDGlue(DirectDepGlue):

@@ -200,10 +200,9 @@ class InvariantViolation:
 def _vc_of(inner: object) -> tuple[float, ...] | None:
     """Extract a causal stamp from a candidate payload, if it has one.
 
-    Handles the vector-clock detectors' int tuples, the
-    direct-dependence scalar clock (as a 1-vector) and the centralized
-    detector's ``(slot, vc_tuple)`` pairs.  Anything else has no
-    checkable stamp.
+    Handles the vector-clock detectors' int tuples and the
+    direct-dependence scalar clock (as a 1-vector).  Anything else has
+    no checkable stamp.
     """
     clock = getattr(inner, "clock", None)
     if isinstance(clock, (int, float)):
@@ -211,10 +210,6 @@ def _vc_of(inner: object) -> tuple[float, ...] | None:
     if isinstance(inner, tuple) and inner:
         if all(isinstance(x, (int, float)) for x in inner):
             return tuple(inner)
-        if len(inner) == 2 and isinstance(inner[1], tuple) and all(
-            isinstance(x, (int, float)) for x in inner[1]
-        ):
-            return tuple(inner[1])
     return None
 
 

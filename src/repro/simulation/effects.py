@@ -19,7 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.common.errors import ConfigurationError
+
 __all__ = ["Message", "Send", "Receive", "Sleep", "Work", "kind_is"]
+
+#: Times key the kernel's ``(time, seq)`` heap: NaN and infinity are rejected
+#: in one chained comparison, as feeders build a Sleep per candidate.
+_INF = float("inf")
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,8 +91,10 @@ class Receive:
     timeout: float | None = None
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError(f"timeout must be > 0, got {self.timeout}")
+        if self.timeout is not None and not 0 < self.timeout < _INF:
+            raise ConfigurationError(
+                f"timeout must be a finite number > 0, got {self.timeout!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,8 +104,10 @@ class Sleep:
     duration: float
 
     def __post_init__(self) -> None:
-        if self.duration < 0:
-            raise ValueError(f"duration must be >= 0, got {self.duration}")
+        if not 0 <= self.duration < _INF:
+            raise ConfigurationError(
+                f"duration must be a finite number >= 0, got {self.duration!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)

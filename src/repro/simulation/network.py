@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 
 from repro.common.validation import require_finite
+from repro.simulation.replay import CANDIDATE_KIND, END_OF_TRACE_KIND
 
 __all__ = [
     "ChannelModel",
@@ -121,20 +122,17 @@ class KindBiasedLatency(ChannelModel):
 class NonFifoLatency(ChannelModel):
     """The paper's §2 channel assumptions, made explicit.
 
-    Application channels are asynchronous and may reorder freely
-    (exponential latency, non-FIFO); only the application->monitor
-    snapshot channels — which the paper *requires* to be FIFO — preserve
-    send order.  Use this instead of the FIFO-everywhere default to
-    catch protocols that silently lean on ordering the model does not
-    grant ("the default-FIFO footgun").
-
-    The FIFO exemption is matched on actor-name prefixes, defaulting to
-    the library's ``app-`` -> ``mon-`` naming convention.
+    Every channel is asynchronous and may reorder freely (exponential
+    latency, non-FIFO), except for the snapshot stream — ``candidate``
+    and ``end_of_trace`` messages — which the paper *requires* to be
+    FIFO.  That holds whatever the sending and receiving actors are
+    named: a §3/§4 monitor and the centralized checker get the same
+    guarantee.  Use this instead of the FIFO-everywhere default to catch
+    protocols that silently lean on ordering the model does not grant
+    ("the default-FIFO footgun").
     """
 
     mean: float = 1.0
-    fifo_src_prefix: str = "app-"
-    fifo_dest_prefix: str = "mon-"
 
     def __post_init__(self) -> None:
         require_finite(self.mean, "mean", strict=True)
@@ -143,9 +141,7 @@ class NonFifoLatency(ChannelModel):
         return rng.expovariate(1.0 / self.mean)
 
     def is_fifo(self, src: str, dest: str, kind: str) -> bool:
-        return src.startswith(self.fifo_src_prefix) and dest.startswith(
-            self.fifo_dest_prefix
-        )
+        return kind in (CANDIDATE_KIND, END_OF_TRACE_KIND)
 
 
 @dataclass

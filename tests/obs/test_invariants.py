@@ -111,13 +111,11 @@ class TestVcExtraction:
     def test_numeric_tuple(self):
         assert _vc_of((1, 2, 3)) == (1, 2, 3)
 
-    def test_slot_vc_pair(self):
-        assert _vc_of((2, (0, 5, 1))) == (0, 5, 1)
-
     def test_unstampable_payloads(self):
         assert _vc_of(object()) is None
         assert _vc_of(()) is None
         assert _vc_of(("a", "b")) is None
+        assert _vc_of((2, (0, 5, 1))) is None  # no detector sends (slot, vc)
 
 
 class TestTokenConservation:

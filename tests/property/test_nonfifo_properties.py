@@ -9,10 +9,14 @@ guarantee, including the hardened (ack/retransmit) variants whose
 acks and retries may overtake each other.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.detect import run_detector
+from repro.detect import centralized, run_detector
+from repro.detect.gcp import GeneralizedConjunctivePredicate, detect_gcp
+from repro.detect.gcp_online import detect_gcp_online
 from repro.predicates import WeakConjunctivePredicate
+from repro.predicates.channel import linear_empty_channel
 from repro.simulation.network import NonFifoLatency
 from repro.trace import random_computation
 
@@ -40,15 +44,10 @@ def nonfifo_cases(draw):
 )
 def test_detectors_tolerate_reordering(case, detector, seed):
     comp, wcp = case
-    # The centralized baseline's monitor is the "checker" actor; grant
-    # it the same §2 FIFO snapshot channels the "mon-" actors get.
-    channel = (
-        NonFifoLatency(fifo_dest_prefix="checker")
-        if detector == "centralized"
-        else NonFifoLatency()
-    )
     ref = run_detector("reference", comp, wcp)
-    rep = run_detector(detector, comp, wcp, seed=seed, channel_model=channel)
+    rep = run_detector(
+        detector, comp, wcp, seed=seed, channel_model=NonFifoLatency()
+    )
     assert (rep.detected, rep.cut) == (ref.detected, ref.cut)
 
 
@@ -68,3 +67,36 @@ def test_hardened_detectors_tolerate_reordering(case, detector, seed):
     )
     assert not rep.extras.get("gave_up")
     assert (rep.detected, rep.cut) == (ref.detected, ref.cut)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_centralized_checker_snapshots_stay_fifo(seed):
+    """The checker actor is not named like a monitor, yet its snapshot
+    channels are FIFO all the same: with them reordering, the checker
+    reported no cut at kernel seeds 0 and 1 where the reference's is
+    P0:10, P1:12, P2:19, P3:7."""
+    comp = random_computation(
+        4, 6, seed=0, predicate_density=0.3, plant_final_cut=True
+    )
+    wcp = WeakConjunctivePredicate.of_flags(range(4))
+    ref = run_detector("reference", comp, wcp)
+    rep = centralized.detect(
+        comp, wcp, seed=seed, channel_model=NonFifoLatency()
+    )
+    assert tuple(ref.cut.intervals) == (10, 12, 19, 7)
+    assert (rep.detected, rep.cut) == (ref.detected, ref.cut)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gcp_online_checker_snapshots_stay_fifo(seed):
+    """[6]'s checker shares the centralized checker's channels."""
+    comp = random_computation(
+        3, 4, seed=0, predicate_density=0.4, plant_final_cut=True
+    )
+    wcp = WeakConjunctivePredicate.of_flags([0, 1, 2])
+    clauses = [linear_empty_channel(0, 1)]
+    offline = detect_gcp(comp, GeneralizedConjunctivePredicate(wcp, clauses))
+    online = detect_gcp_online(
+        comp, wcp, clauses, seed=seed, channel_model=NonFifoLatency()
+    )
+    assert (online.detected, online.cut) == (offline.detected, offline.cut)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import ConfigurationError
 from repro.simulation import Message, Receive, Send, Sleep, Work, kind_is
 
 
@@ -25,6 +26,13 @@ class TestSleepAndWork:
     def test_sleep_negative_rejected(self):
         with pytest.raises(ValueError):
             Sleep(-0.1)
+
+    @pytest.mark.parametrize("duration", [float("nan"), float("inf")])
+    def test_sleep_non_finite_rejected(self, duration):
+        """NaN passed ``duration < 0`` and woke the sleeper at t=nan;
+        inf ended the run at t=inf."""
+        with pytest.raises(ConfigurationError, match="duration"):
+            Sleep(duration)
 
     def test_work_negative_rejected(self):
         with pytest.raises(ValueError):

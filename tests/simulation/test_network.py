@@ -54,6 +54,26 @@ class TestExponentialLatency:
             ExponentialLatency(mean=0)
 
 
+class TestNonFifoLatency:
+    """§2: only the snapshot stream is FIFO, whoever sends and receives it."""
+
+    @pytest.mark.parametrize(
+        ("src", "dest", "kind", "fifo"),
+        [
+            ("app-0", "mon-0", "candidate", True),
+            ("app-0", "checker", "candidate", True),
+            ("app-2", "checker", "end_of_trace", True),
+            ("feeder", "anyone", "candidate", True),
+            ("mon-0", "mon-1", "token", False),
+            ("mon-0", "mon-1", "poll", False),
+            ("app-0", "mon-0", "halt_ack", False),
+            ("app-0", "app-1", "app", False),
+        ],
+    )
+    def test_fifo_exactly_on_snapshot_kinds(self, src, dest, kind, fifo):
+        assert NonFifoLatency().is_fifo(src, dest, kind) is fifo
+
+
 class TestUniformLatency:
     def test_in_range(self):
         m = UniformLatency(0.5, 1.5)

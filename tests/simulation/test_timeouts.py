@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common import ConfigurationError
 from repro.simulation import Actor, Kernel, Receive, Send
 
 
@@ -126,6 +127,13 @@ class TestReceiveTimeout:
     def test_zero_timeout_rejected(self):
         with pytest.raises(ValueError):
             Receive(None, timeout=0)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout):
+        """A NaN timeout passed ``timeout <= 0`` and resolved to ``None``
+        at t=nan, missing every message; inf ended the run at t=inf."""
+        with pytest.raises(ConfigurationError, match="timeout"):
+            Receive(None, timeout=timeout)
 
     def test_delivery_at_exact_deadline_loses_to_timeout(self):
         """A message whose delivery lands exactly on the receive's
