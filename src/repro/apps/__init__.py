@@ -1,8 +1,14 @@
 """Live application programs with online detection attached."""
 
-from repro.apps.base import APP_MSG_KIND, AppMessage, ApplicationProcess
+from repro.apps.base import (
+    APP_MSG_KIND,
+    AppMessage,
+    ApplicationProcess,
+    app_names,
+    wiring,
+)
 from repro.apps.leader import BullyNode, build_election_system, split_brain_wcp
-from repro.apps.live import app_names, run_live_direct_dep, run_live_token_vc
+from repro.apps.live import run_live_direct_dep, run_live_token_vc
 from repro.apps.mutex import (
     CoordinatorApp,
     MutexClientApp,
@@ -22,6 +28,7 @@ __all__ = [
     "AppMessage",
     "APP_MSG_KIND",
     "app_names",
+    "wiring",
     "run_live_token_vc",
     "run_live_direct_dep",
     "CoordinatorApp",

@@ -16,6 +16,10 @@ algorithms prescribe:
 Application messages carry both tags, so the same program runs under
 either detector family; a deployment would strip the unused tag.
 
+Which processes snapshot, and to which monitor, is Fig. 1's wiring,
+decided once by :func:`wiring`: under Fig. 2 the WCP's processes, under
+§4.1 every process.
+
 Subclasses implement :meth:`behavior` using the provided ``app_send`` /
 ``recv_app`` / ``set_vars`` helpers; the base class emits the
 end-of-trace marker when the behaviour generator finishes.
@@ -23,20 +27,50 @@ end-of-trace marker when the behaviour generator finishes.
 
 from __future__ import annotations
 
-from typing import Generator, Mapping, Sequence
+from typing import Any, Generator, Mapping, Sequence
 
 from repro.clocks.dependence import Dependence
 from repro.common.errors import ConfigurationError
 from repro.common.types import WORD_BITS, Pid
-from repro.predicates.local import LocalPredicate
+from repro.detect.base import app_name, monitor_name
+from repro.predicates.conjunctive import WeakConjunctivePredicate
+from repro.predicates.local import LocalPredicate, always_true
 from repro.simulation.actors import Actor
 from repro.simulation.effects import Message
 from repro.simulation.replay import CANDIDATE_KIND, END_OF_TRACE_KIND
 from repro.trace.snapshots import DDSnapshot
 
-__all__ = ["APP_MSG_KIND", "AppMessage", "ApplicationProcess"]
+__all__ = ["APP_MSG_KIND", "AppMessage", "ApplicationProcess", "app_names", "wiring"]
 
 APP_MSG_KIND = "app"
+
+
+def app_names(num_processes: int) -> list[str]:
+    """Canonical application actor names, indexed by pid."""
+    return [app_name(pid) for pid in range(num_processes)]
+
+
+def wiring(wcp: WeakConjunctivePredicate, pid: Pid, mode: str) -> dict[str, Any]:
+    """Process ``pid``'s Fig. 1 wiring: the ``predicate``, ``monitor``,
+    ``snapshot_pids`` and ``mode`` of its :class:`ApplicationProcess`.
+
+    ``"vc"`` (Fig. 2): the WCP's processes snapshot to their monitors,
+    projected onto ``wcp.pids``; the others run unmonitored.  ``"dd"``
+    (§4.1): every process snapshots to its monitor, since the red chain
+    can pass through any of them — constant-true where the WCP names no
+    clause.
+    """
+    clause = wcp.predicate_map().get(pid)
+    if clause is None:
+        if mode != "dd":
+            return {"mode": mode}
+        clause = always_true()
+    return {
+        "predicate": clause,
+        "monitor": monitor_name(pid),
+        "snapshot_pids": wcp.pids,
+        "mode": mode,
+    }
 
 
 class AppMessage:
@@ -70,8 +104,9 @@ class ApplicationProcess(Actor):
         This process's local predicate, or ``None`` if it carries none.
         In dd mode a process without a predicate still snapshots every
         interval (§4 requires all processes to participate): pass the
-        constant-true predicate in that case; ``None`` simply disables
-        snapshotting (vc mode, non-predicate process).
+        constant-true predicate in that case, as :func:`wiring` does;
+        ``None`` simply disables snapshotting (vc mode, non-predicate
+        process).
     monitor:
         The mated monitor's actor name, or ``None`` to disable
         snapshotting entirely.

@@ -20,12 +20,13 @@ detection exists to catch.
 
 from __future__ import annotations
 
-from repro.apps.base import ApplicationProcess
-from repro.apps.live import app_names
+from typing import Any
+
+from repro.apps.base import ApplicationProcess, app_names, wiring
 from repro.common.errors import ConfigurationError
 from repro.common.types import Pid
 from repro.predicates.conjunctive import WeakConjunctivePredicate
-from repro.predicates.local import LocalPredicate, var_true
+from repro.predicates.local import var_true
 
 __all__ = ["BullyNode", "build_election_system", "split_brain_wcp"]
 
@@ -43,20 +44,9 @@ class BullyNode(ApplicationProcess):
         pid: Pid,
         names: list[str],
         alive_timeout: float,
-        monitor: str | None = None,
-        mode: str = "vc",
-        snapshot_pids=(),
-        predicate: LocalPredicate | None = None,
+        **monitoring: Any,
     ) -> None:
-        super().__init__(
-            pid,
-            names,
-            predicate=predicate,
-            monitor=monitor,
-            snapshot_pids=snapshot_pids,
-            mode=mode,
-            initial_vars={"leader": False},
-        )
+        super().__init__(pid, names, initial_vars={"leader": False}, **monitoring)
         if alive_timeout <= 0:
             raise ConfigurationError("alive_timeout must be > 0")
         self._timeout = alive_timeout
@@ -148,27 +138,7 @@ def build_election_system(
     if num_nodes < 2:
         raise ConfigurationError("election needs >= 2 nodes")
     names = app_names(num_nodes)
-    pred_map = wcp.predicate_map()
-
-    def wiring(pid: Pid) -> dict:
-        if mode == "vc":
-            if pid in pred_map:
-                return {
-                    "predicate": pred_map[pid],
-                    "monitor": f"mon-{pid}",
-                    "snapshot_pids": wcp.pids,
-                    "mode": mode,
-                }
-            return {"predicate": None, "monitor": None, "mode": mode}
-        from repro.predicates.local import always_true
-
-        return {
-            "predicate": pred_map.get(pid, always_true()),
-            "monitor": f"mon-{pid}",
-            "mode": mode,
-        }
-
     return [
-        BullyNode(pid, names, alive_timeout, **wiring(pid))
+        BullyNode(pid, names, alive_timeout, **wiring(wcp, pid, mode))
         for pid in range(num_nodes)
     ]

@@ -7,13 +7,15 @@ snapshots while monitor processes run a detection protocol concurrently
 
 ``run_live_token_vc`` attaches §3 monitors (one per predicate process);
 ``run_live_direct_dep`` attaches §4 monitors (one per process — pass
-application processes for *all* pids, built in dd mode with a predicate
-on every process, constant-true where none is wanted).
+application processes for *all* pids, built in dd mode).
+:func:`~repro.apps.base.wiring` wires either.  Both share one launch,
+:func:`_run_live`; a runner keeps its monitors, its first token and how
+it reads the verdict.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.common.errors import ConfigurationError
 from repro.detect.base import DetectionReport, monitor_name
@@ -25,14 +27,9 @@ from repro.simulation.kernel import Kernel
 from repro.simulation.network import ChannelModel
 from repro.trace.cuts import Cut
 
-from repro.apps.base import ApplicationProcess
+from repro.apps.base import ApplicationProcess, app_names
 
 __all__ = ["app_names", "run_live_token_vc", "run_live_direct_dep"]
-
-
-def app_names(num_processes: int) -> list[str]:
-    """Canonical application actor names, indexed by pid."""
-    return [f"app-{pid}" for pid in range(num_processes)]
 
 
 def run_live_token_vc(
@@ -43,37 +40,15 @@ def run_live_token_vc(
     channel_model: ChannelModel | None = None,
 ) -> DetectionReport:
     """Run live applications with the §3 detector attached online."""
-    _check_apps(apps)
     pids = wcp.pids
-    kernel = Kernel(channel_model=channel_model, seed=seed)
     names = [monitor_name(pid) for pid in pids]
-    monitors = [TokenVCMonitor(pid, slot, names) for slot, pid in enumerate(pids)]
-    for mon in monitors:
-        kernel.add_actor(mon)
-    for app in apps:
-        kernel.add_actor(app)
     token = VCToken.initial(wcp.n)
-    kernel.add_actor(TokenInjector(names[0], token, token.size_bits()))
-    sim = kernel.run()
-    winner = next((m for m in monitors if m.detected), None)
-    extras = {
-        "aborted": any(m.aborted for m in monitors),
-        "snapshots": sum(a.snapshots_emitted for a in apps),
-    }
-    if winner is not None:
-        assert winner.detected_cut is not None
-        return DetectionReport(
-            detector="token_vc",
-            detected=True,
-            cut=Cut(pids, winner.detected_cut),
-            detection_time=winner.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
-        )
-    return DetectionReport(
-        detector="token_vc", detected=False, sim=sim,
-        metrics=kernel.metrics, extras=extras,
+    return _run_live(
+        "token_vc", apps, wcp,
+        [TokenVCMonitor(pid, slot, names) for slot, pid in enumerate(pids)],
+        token, token.size_bits(),
+        lambda winner: (Cut(pids, winner.detected_cut), None),
+        seed=seed, channel_model=channel_model,
     )
 
 
@@ -86,46 +61,62 @@ def run_live_direct_dep(
 ) -> DetectionReport:
     """Run live applications with the §4 detector attached online.
 
-    ``apps`` must cover every process (built in ``dd`` mode with a
-    predicate — constant-true for processes outside the WCP).
+    ``apps`` must cover every process, built in ``dd`` mode.  The
+    detected full cut is projected onto the WCP's pids for the report.
     """
-    _check_apps(apps)
-    big_n = len(apps)
-    wcp.check_against(big_n)
-    kernel = Kernel(channel_model=channel_model, seed=seed)
-    monitors = build_monitors(big_n)
-    for mon in monitors:
-        kernel.add_actor(mon)
-    for app in apps:
-        kernel.add_actor(app)
-    kernel.add_actor(TokenInjector(monitor_name(0), None, TOKEN_BITS))
-    sim = kernel.run()
-    winner = next((m for m in monitors if m.detected), None)
-    extras = {
-        "aborted": any(m.aborted for m in monitors),
-        "snapshots": sum(a.snapshots_emitted for a in apps),
-    }
-    if winner is not None:
-        full = Cut(tuple(range(big_n)), tuple(m.G for m in monitors))
-        return DetectionReport(
-            detector="direct_dep",
-            detected=True,
-            cut=full.project(wcp.pids),
-            full_cut=full,
-            detection_time=winner.detected_at,
-            sim=sim,
-            metrics=kernel.metrics,
-            extras=extras,
-        )
-    return DetectionReport(
-        detector="direct_dep", detected=False, sim=sim,
-        metrics=kernel.metrics, extras=extras,
+    monitors = build_monitors(len(apps))
+
+    def cuts(_winner: Any) -> tuple[Cut, Cut]:
+        full = Cut(tuple(range(len(monitors))), tuple(m.G for m in monitors))
+        return full.project(wcp.pids), full
+
+    return _run_live(
+        "direct_dep", apps, wcp, monitors, None, TOKEN_BITS, cuts,
+        seed=seed, channel_model=channel_model,
     )
 
 
-def _check_apps(apps: Sequence[ApplicationProcess]) -> None:
+def _run_live(
+    detector: str,
+    apps: Sequence[ApplicationProcess],
+    wcp: WeakConjunctivePredicate,
+    monitors: Sequence[Any],
+    token: object,
+    token_bits: int,
+    cuts: Callable[[Any], tuple[Cut, Cut | None]],
+    *,
+    seed: int,
+    channel_model: ChannelModel | None,
+) -> DetectionReport:
+    """One live run: check ``apps`` and ``wcp``, register the monitors,
+    the applications and the first token's injector (this order fixes
+    the schedule), run, and report ``cuts(winner)`` — the cut and full
+    cut — if a monitor detected."""
     if not apps:
         raise ConfigurationError("need at least one application process")
     pids = sorted(app.pid for app in apps)
     if pids != list(range(len(apps))):
         raise ConfigurationError(f"application pids must be 0..N-1, got {pids}")
+    wcp.check_against(len(apps))
+    kernel = Kernel(channel_model=channel_model, seed=seed)
+    for actor in (
+        *monitors, *apps, TokenInjector(monitors[0].name, token, token_bits)
+    ):
+        kernel.add_actor(actor)
+    sim = kernel.run()
+    extras = {
+        "aborted": any(m.aborted for m in monitors),
+        "snapshots": sum(a.snapshots_emitted for a in apps),
+    }
+    winner = next((m for m in monitors if m.detected), None)
+    if winner is None:
+        return DetectionReport(
+            detector=detector, detected=False, sim=sim,
+            metrics=kernel.metrics, extras=extras,
+        )
+    cut, full_cut = cuts(winner)
+    return DetectionReport(
+        detector=detector, detected=True, cut=cut, full_cut=full_cut,
+        detection_time=winner.detected_at, sim=sim, metrics=kernel.metrics,
+        extras=extras,
+    )

@@ -19,13 +19,13 @@ never holds: no false alarms.
 from __future__ import annotations
 
 from collections import deque
+from typing import Any
 
-from repro.apps.base import ApplicationProcess
-from repro.apps.live import app_names
+from repro.apps.base import ApplicationProcess, app_names, wiring
 from repro.common.errors import ConfigurationError
 from repro.common.types import Pid
 from repro.predicates.conjunctive import WeakConjunctivePredicate
-from repro.predicates.local import LocalPredicate, always_true, var_true
+from repro.predicates.local import var_true
 
 __all__ = ["CoordinatorApp", "MutexClientApp", "build_mutex_system", "mutex_wcp"]
 
@@ -46,19 +46,11 @@ class CoordinatorApp(ApplicationProcess):
         num_clients: int,
         rounds: int,
         bug_every: int = 0,
-        monitor: str | None = None,
-        mode: str = "vc",
-        snapshot_pids=(),
-        predicate: LocalPredicate | None = None,
+        **monitoring: Any,
     ) -> None:
         super().__init__(
-            COORDINATOR_PID,
-            names,
-            predicate=predicate,
-            monitor=monitor,
-            snapshot_pids=snapshot_pids,
-            mode=mode,
-            initial_vars={"granted_to": None},
+            COORDINATOR_PID, names, initial_vars={"granted_to": None},
+            **monitoring,
         )
         if num_clients < 2:
             raise ConfigurationError("mutex example needs >= 2 clients")
@@ -110,20 +102,9 @@ class MutexClientApp(ApplicationProcess):
         names: list[str],
         rounds: int,
         cs_duration: float = 2.0,
-        monitor: str | None = None,
-        mode: str = "vc",
-        snapshot_pids=(),
-        predicate: LocalPredicate | None = None,
+        **monitoring: Any,
     ) -> None:
-        super().__init__(
-            pid,
-            names,
-            predicate=predicate,
-            monitor=monitor,
-            snapshot_pids=snapshot_pids,
-            mode=mode,
-            initial_vars={"cs": False},
-        )
+        super().__init__(pid, names, initial_vars={"cs": False}, **monitoring)
         self._rounds = rounds
         self._cs_duration = cs_duration
 
@@ -152,38 +133,16 @@ def build_mutex_system(
     wcp: WeakConjunctivePredicate,
     mode: str = "vc",
 ) -> list[ApplicationProcess]:
-    """Construct coordinator + clients wired for the given detector mode.
-
-    In vc mode only the WCP's processes snapshot; in dd mode every
-    process does (constant-true predicate where the WCP names none).
-    """
-    total = num_clients + 1
-    names = app_names(total)
-    pred_map = wcp.predicate_map()
-
-    def wiring(pid: Pid) -> dict:
-        if mode == "vc":
-            if pid in pred_map:
-                return {
-                    "predicate": pred_map[pid],
-                    "monitor": f"mon-{pid}",
-                    "snapshot_pids": wcp.pids,
-                    "mode": mode,
-                }
-            return {"predicate": None, "monitor": None, "mode": mode}
-        return {
-            "predicate": pred_map.get(pid, always_true()),
-            "monitor": f"mon-{pid}",
-            "mode": mode,
-        }
-
-    apps: list[ApplicationProcess] = [
+    """Construct coordinator + clients wired for the given detector mode
+    (see :func:`~repro.apps.base.wiring`)."""
+    names = app_names(num_clients + 1)
+    return [
         CoordinatorApp(
-            names, num_clients, rounds, bug_every=bug_every, **wiring(COORDINATOR_PID)
-        )
+            names, num_clients, rounds, bug_every=bug_every,
+            **wiring(wcp, COORDINATOR_PID, mode),
+        ),
+        *(
+            MutexClientApp(client, names, rounds, **wiring(wcp, client, mode))
+            for client in range(1, num_clients + 1)
+        ),
     ]
-    for client in range(1, total):
-        apps.append(
-            MutexClientApp(client, names, rounds, **wiring(client))
-        )
-    return apps

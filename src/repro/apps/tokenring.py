@@ -16,12 +16,13 @@ so all workers terminate cleanly.
 
 from __future__ import annotations
 
-from repro.apps.base import ApplicationProcess
-from repro.apps.live import app_names
+from typing import Any
+
+from repro.apps.base import ApplicationProcess, app_names, wiring
 from repro.common.errors import ConfigurationError
 from repro.common.types import Pid
 from repro.predicates.conjunctive import WeakConjunctivePredicate
-from repro.predicates.local import LocalPredicate, var_true
+from repro.predicates.local import var_true
 
 __all__ = ["RingWorkerApp", "build_ring_system", "quiescence_wcp"]
 
@@ -35,23 +36,12 @@ class RingWorkerApp(ApplicationProcess):
         names: list[str],
         jobs: list[int] | None = None,
         work_duration: float = 1.0,
-        monitor: str | None = None,
-        mode: str = "vc",
-        snapshot_pids=(),
-        predicate: LocalPredicate | None = None,
+        **monitoring: Any,
     ) -> None:
-        super().__init__(
-            pid,
-            names,
-            predicate=predicate,
-            monitor=monitor,
-            snapshot_pids=snapshot_pids,
-            mode=mode,
-            # Worker 0 starts busy (it is about to inject work), so the
-            # first quiescent cut is a real post-injection one rather
-            # than the trivial initial state.
-            initial_vars={"idle": pid != 0},
-        )
+        # Worker 0 starts busy (it is about to inject work), so the first
+        # quiescent cut is a real post-injection one rather than the
+        # trivial initial state.
+        super().__init__(pid, names, initial_vars={"idle": pid != 0}, **monitoring)
         self._ring_size = len(names)
         if jobs is not None and pid != 0:
             raise ConfigurationError("only worker 0 injects jobs")
@@ -88,9 +78,6 @@ class RingWorkerApp(ApplicationProcess):
             if ttl > 1:
                 yield self.app_send(self._next(), ("job", ttl - 1))
             yield self.set_vars(idle=True)
-        if self.pid == 0:
-            # Wait for the second marker's full circuit to come home.
-            return
 
 
 def quiescence_wcp(num_workers: int) -> WeakConjunctivePredicate:
@@ -111,25 +98,10 @@ def build_ring_system(
     if num_workers < 2:
         raise ConfigurationError("ring needs >= 2 workers")
     names = app_names(num_workers)
-    pred_map = wcp.predicate_map()
-
-    def wiring(pid: Pid) -> dict:
-        if pid in pred_map:
-            return {
-                "predicate": pred_map[pid],
-                "monitor": f"mon-{pid}",
-                "snapshot_pids": wcp.pids,
-                "mode": mode,
-            }
-        return {"predicate": None, "monitor": None, "mode": mode}
-
     return [
         RingWorkerApp(
-            pid,
-            names,
-            jobs=jobs if pid == 0 else None,
-            work_duration=work_duration,
-            **wiring(pid),
+            pid, names, jobs=jobs if pid == 0 else None,
+            work_duration=work_duration, **wiring(wcp, pid, mode),
         )
         for pid in range(num_workers)
     ]

@@ -17,13 +17,13 @@ WCP holds at a consistent cut exactly when the bug fires.
 from __future__ import annotations
 
 from collections import deque
+from typing import Any
 
-from repro.apps.base import ApplicationProcess
-from repro.apps.live import app_names
+from repro.apps.base import ApplicationProcess, app_names, wiring
 from repro.common.errors import ConfigurationError
 from repro.common.types import Pid
 from repro.predicates.conjunctive import WeakConjunctivePredicate
-from repro.predicates.local import LocalPredicate, always_true, var_true
+from repro.predicates.local import var_true
 
 __all__ = [
     "LockManagerApp",
@@ -43,19 +43,9 @@ class LockManagerApp(ApplicationProcess):
         names: list[str],
         expected_requests: int,
         allow_write_with_readers: bool = False,
-        monitor: str | None = None,
-        mode: str = "vc",
-        snapshot_pids=(),
-        predicate: LocalPredicate | None = None,
+        **monitoring: Any,
     ) -> None:
-        super().__init__(
-            MANAGER_PID,
-            names,
-            predicate=predicate,
-            monitor=monitor,
-            snapshot_pids=snapshot_pids,
-            mode=mode,
-        )
+        super().__init__(MANAGER_PID, names, **monitoring)
         self._expected = expected_requests
         self._buggy = allow_write_with_readers
 
@@ -115,19 +105,9 @@ class TransactionApp(ApplicationProcess):
         names: list[str],
         script: list[list[tuple[str, str]]],
         hold_duration: float = 2.0,
-        monitor: str | None = None,
-        mode: str = "vc",
-        snapshot_pids=(),
-        predicate: LocalPredicate | None = None,
+        **monitoring: Any,
     ) -> None:
-        super().__init__(
-            pid,
-            names,
-            predicate=predicate,
-            monitor=monitor,
-            snapshot_pids=snapshot_pids,
-            mode=mode,
-        )
+        super().__init__(pid, names, **monitoring)
         for txn in script:
             for op, _item in txn:
                 if op not in ("read", "write"):
@@ -176,37 +156,18 @@ def build_locking_system(
     client_pids = sorted(scripts)
     if client_pids != list(range(1, len(client_pids) + 1)):
         raise ConfigurationError("script pids must be 1..k")
-    total = len(client_pids) + 1
-    names = app_names(total)
-    pred_map = wcp.predicate_map()
-
-    def wiring(pid: Pid) -> dict:
-        if mode == "vc":
-            if pid in pred_map:
-                return {
-                    "predicate": pred_map[pid],
-                    "monitor": f"mon-{pid}",
-                    "snapshot_pids": wcp.pids,
-                    "mode": mode,
-                }
-            return {"predicate": None, "monitor": None, "mode": mode}
-        return {
-            "predicate": pred_map.get(pid, always_true()),
-            "monitor": f"mon-{pid}",
-            "mode": mode,
-        }
-
+    names = app_names(len(client_pids) + 1)
     clients = [
         TransactionApp(
-            pid, names, scripts[pid], hold_duration=hold_duration, **wiring(pid)
+            pid, names, scripts[pid], hold_duration=hold_duration,
+            **wiring(wcp, pid, mode),
         )
         for pid in client_pids
     ]
-    expected = sum(c.request_count() for c in clients)
     manager = LockManagerApp(
         names,
-        expected_requests=expected,
+        expected_requests=sum(c.request_count() for c in clients),
         allow_write_with_readers=allow_write_with_readers,
-        **wiring(MANAGER_PID),
+        **wiring(wcp, MANAGER_PID, mode),
     )
     return [manager] + clients

@@ -1,7 +1,7 @@
 """Discrete-event simulation: kernel, actors, effects, channels, replay."""
 
 from repro.simulation.actors import Actor
-from repro.simulation.effects import Message, Receive, Send, Sleep, Work, kind_is
+from repro.simulation.effects import Message, Receive, Send, Sleep, Work
 from repro.simulation.faults import CrashEvent, FaultPlan, FaultRule
 from repro.simulation.instrumentation import (
     ActorMetrics,
@@ -42,7 +42,6 @@ __all__ = [
     "Receive",
     "Sleep",
     "Work",
-    "kind_is",
     "Kernel",
     "SimulationResult",
     "ActorMetrics",

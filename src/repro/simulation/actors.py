@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Iterable
 
 from repro.common.errors import SimulationError
-from repro.simulation.effects import Message, Receive, Send, Sleep, Work, kind_is
+from repro.simulation.effects import Receive, Send, Sleep, Work
 from repro.simulation.instrumentation import ActorMetrics
 
 __all__ = ["Actor"]
@@ -84,22 +84,16 @@ class Actor:
 
     def receive(self, *kinds: str, description: str = "") -> Receive:
         """Construct a Receive effect matching the given kinds (or any)."""
-        match = kind_is(*kinds) if kinds else None
-        return Receive(match, description or f"{self.name} awaiting {kinds or 'any'}")
-
-    def receive_matching(
-        self, match: Callable[[Message], bool], description: str = ""
-    ) -> Receive:
-        """Construct a Receive effect with an arbitrary matcher."""
-        return Receive(match, description)
+        return Receive(
+            kinds or None, description or f"{self.name} awaiting {kinds or 'any'}"
+        )
 
     def receive_timeout(
         self, *kinds: str, timeout: float, description: str = ""
     ) -> Receive:
         """A Receive that resolves to ``None`` after ``timeout`` time units."""
-        match = kind_is(*kinds) if kinds else None
         return Receive(
-            match,
+            kinds or None,
             description or f"{self.name} awaiting {kinds or 'any'} (t/o {timeout})",
             timeout=timeout,
         )

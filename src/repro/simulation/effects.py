@@ -5,7 +5,7 @@ receive results back, giving the blocking-receive style of the paper's
 pseudocode directly::
 
     def run(self):
-        msg = yield Receive(kind_is("candidate"))   # blocks
+        msg = yield Receive(("candidate",))         # blocks
         yield Send("M3", token, kind="token", size_bits=64)
         yield Work(5)                               # charge 5 work units
 
@@ -17,11 +17,10 @@ otherwise).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.common.errors import ConfigurationError
 
-__all__ = ["Message", "Send", "Receive", "Sleep", "Work", "kind_is"]
+__all__ = ["Message", "Send", "Receive", "Sleep", "Work"]
 
 #: Times key the kernel's ``(time, seq)`` heap: NaN and infinity are rejected
 #: in one chained comparison, as feeders build a Sleep per candidate.
@@ -74,19 +73,19 @@ class Send:
 
 @dataclass(frozen=True, slots=True)
 class Receive:
-    """Block until a message matching ``match`` is available.
+    """Block until a message of one of ``kinds`` is available.
 
-    ``match`` is a predicate over :class:`Message`; ``None`` matches any
-    message.  Among buffered matching messages the earliest-delivered one
-    is returned (ties broken by sequence number).  ``description`` is
-    used in deadlock reports.
+    ``kinds`` is a tuple of message kinds; ``None`` matches any message.
+    Among buffered matching messages the earliest-delivered one is
+    returned (ties broken by sequence number).  ``description`` is used
+    in deadlock reports.
 
     With a ``timeout``, the receive resolves to ``None`` after that many
     simulated time units without a matching message — the primitive
     timeout-based protocols (e.g. election algorithms) are built on.
     """
 
-    match: Callable[[Message], bool] | None = None
+    kinds: tuple[str, ...] | None = None
     description: str = ""
     timeout: float | None = None
 
@@ -123,13 +122,3 @@ class Work:
     def __post_init__(self) -> None:
         if self.units < 0:
             raise ValueError(f"units must be >= 0, got {self.units}")
-
-
-def kind_is(*kinds: str) -> Callable[[Message], bool]:
-    """A ``Receive`` matcher accepting any of the given message kinds."""
-    allowed = frozenset(kinds)
-
-    def match(message: Message) -> bool:
-        return message.kind in allowed
-
-    return match

@@ -622,12 +622,12 @@ class Kernel:
         anything takes its head.  Callers only ask with mail buffered.
         """
         mailbox = state.mailbox
-        match = receive.match
-        if match is None:
+        kinds = receive.kinds
+        if kinds is None:
             msg = mailbox.pop(0)
         else:
             for i, msg in enumerate(mailbox):
-                if match(msg):
+                if msg.kind in kinds:
                     del mailbox[i]
                     break
             else:

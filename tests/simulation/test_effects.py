@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import ConfigurationError
-from repro.simulation import Message, Receive, Send, Sleep, Work, kind_is
+from repro.simulation import Actor, Receive, Send, Sleep, Work
 
 
 class TestSend:
@@ -43,23 +43,23 @@ class TestSleepAndWork:
 
 
 class TestKindIs:
-    def make_msg(self, kind):
-        return Message(
-            seq=1, src="a", dest="b", kind=kind, payload=None,
-            size_bits=0, sent_at=0.0, delivered_at=1.0,
-        )
-
-    def test_single_kind(self):
-        match = kind_is("token")
-        assert match(self.make_msg("token"))
-        assert not match(self.make_msg("poll"))
-
-    def test_multiple_kinds(self):
-        match = kind_is("a", "b")
-        assert match(self.make_msg("a"))
-        assert match(self.make_msg("b"))
-        assert not match(self.make_msg("c"))
-
     def test_receive_default_matches_any(self):
         r = Receive()
-        assert r.match is None
+        assert r.kinds is None
+
+    def test_actor_receives_carry_their_kinds(self):
+        actor = Actor("a")
+        assert actor.receive("token").kinds == ("token",)
+        assert actor.receive("a", "b").kinds == ("a", "b")
+        assert actor.receive().kinds is None
+        assert actor.receive_timeout("a", timeout=1.0).kinds == ("a",)
+        assert actor.receive_timeout(timeout=1.0).kinds is None
+
+    def test_descriptions_name_the_kinds(self):
+        actor = Actor("a")
+        assert actor.receive("x", "y").description == "a awaiting ('x', 'y')"
+        assert actor.receive().description == "a awaiting any"
+        assert (
+            actor.receive_timeout("x", timeout=2.0).description
+            == "a awaiting ('x',) (t/o 2.0)"
+        )

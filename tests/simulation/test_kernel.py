@@ -13,7 +13,6 @@ from repro.simulation import (
     Send,
     Sleep,
     Work,
-    kind_is,
 )
 
 
@@ -237,7 +236,7 @@ class TestTimeAndOrdering:
 class TestBlockingAndDeadlock:
     def test_deadlock_reported(self):
         k = Kernel()
-        k.add_actor(Once("waiter", [Receive(kind_is("never"), "waiting forever")]))
+        k.add_actor(Once("waiter", [Receive(("never",), "waiting forever")]))
         result = k.run()
         assert result.deadlocked
         assert result.blocked == {"waiter": "waiting forever"}
@@ -285,11 +284,11 @@ class TestBlockingAndDeadlock:
         k.run()
         assert a.got == "whatever"
 
-    @pytest.mark.parametrize("any_receive", ["receive", "receive_matching"])
+    @pytest.mark.parametrize("any_receive", ["receive", "every_kind"])
     def test_receive_any_takes_earliest_delivered_then_seq(self, any_receive):
         """With mail of mixed kinds buffered, a match-anything receive and
-        an always-true matcher both take the earliest delivery first,
-        ties broken by seq."""
+        a receive naming every kind (the mailbox scan) both take the
+        earliest delivery first, ties broken by seq."""
 
         class ByKind(ChannelModel):
             def latency(self, src, dest, kind, rng):
@@ -309,7 +308,7 @@ class TestBlockingAndDeadlock:
                     if any_receive == "receive":
                         msg = yield self.receive()
                     else:
-                        msg = yield self.receive_matching(lambda m: True)
+                        msg = yield self.receive("slow", "a", "b")
                     self.got.append((msg.delivered_at, msg.seq, msg.payload))
 
         k = Kernel(channel_model=ByKind())
