@@ -1,10 +1,10 @@
 """Sweep harness scaling — parallel fan-out vs a single worker.
 
-Runs the committed 64-cell ``scaling-64`` matrix twice over a shared
-workload cache — once inline and once across worker processes — and
-reports the wall-clock speedup plus the determinism check: the
-paper-unit metrics of every cell must be byte-identical regardless of
-worker count (the acceptance bar for the fan-out harness).
+Runs the committed 64-cell ``scaling-64`` matrix twice — once inline
+and once across worker processes — and reports the wall-clock speedup
+plus the determinism check: the paper-unit metrics of every cell must
+be byte-identical regardless of worker count (the acceptance bar for
+the fan-out harness).
 
 The speedup assertion is deliberately soft here (>= 1.0, i.e. fan-out
 is never a slowdown beyond noise) because benchmark containers may pin
@@ -24,19 +24,18 @@ from repro.sweep import load_matrix, run_sweep
 SWEEPS_DIR = pathlib.Path(__file__).parent / "sweeps"
 
 
-def bench_sweep_worker_scaling(benchmark, emit, workload_cache, tmp_path):
+def bench_sweep_worker_scaling(benchmark, emit):
     matrix = load_matrix(SWEEPS_DIR / "scaling64.json")
     assert matrix.num_cells == 64
-    cache_root = workload_cache.root
     workers = min(4, os.cpu_count() or 1)
 
-    # Warm the workload cache so both timed runs measure detection only.
-    warm = run_sweep(matrix, cache_root, workers=1)
+    # An untimed first run fails fast on an erroring cell.
+    warm = run_sweep(matrix, workers=1)
     assert warm.ok
 
     def timed(worker_count: int):
         started = time.perf_counter()
-        result = run_sweep(matrix, cache_root, workers=worker_count)
+        result = run_sweep(matrix, workers=worker_count)
         return result, time.perf_counter() - started
 
     serial, serial_s = benchmark.pedantic(

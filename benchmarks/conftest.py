@@ -5,10 +5,6 @@ writes it under ``benchmarks/output/`` and writes a machine-readable
 sibling ``e1_token_vc.json`` (schema ``repro-bench/1``, see
 :mod:`repro.obs.benchjson`) carrying the experiment parameters, raw
 rows, summary cost totals, fit exponents and the measured wall time.
-
-``workload_cache`` hands benchmarks the shared content-addressed
-workload cache (``benchmarks/output/.workload-cache``) so sweep-style
-benchmarks spend their wall clock on detection, not trace generation.
 """
 
 from __future__ import annotations
@@ -19,16 +15,9 @@ import pytest
 
 from repro.analysis import render_table
 from repro.obs import write_benchmark_json
-from repro.sweep import WorkloadCache
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 SWEEPS_DIR = pathlib.Path(__file__).parent / "sweeps"
-
-
-@pytest.fixture
-def workload_cache() -> WorkloadCache:
-    """The benchmark-suite workload cache (persists across runs)."""
-    return WorkloadCache(OUTPUT_DIR / ".workload-cache")
 
 
 def _wall_time(benchmark) -> float | None:

@@ -163,6 +163,11 @@ class ApplicationProcess(Actor):
         """The current §4.1 interval counter."""
         return self._counter
 
+    @property
+    def mode(self) -> str:
+        """``"vc"`` (Fig. 2 snapshots) or ``"dd"`` (§4.1 snapshots)."""
+        return self._mode
+
     # ------------------------------------------------------------------
     def run(self) -> Generator:
         # The initial state may already satisfy the predicate.

@@ -31,6 +31,9 @@ from repro.apps.base import ApplicationProcess, app_names
 
 __all__ = ["app_names", "run_live_token_vc", "run_live_direct_dep"]
 
+#: The snapshot mode each live detector's monitors consume.
+_MODES = {"token_vc": "vc", "direct_dep": "dd"}
+
 
 def run_live_token_vc(
     apps: Sequence[ApplicationProcess],
@@ -88,15 +91,22 @@ def _run_live(
     seed: int,
     channel_model: ChannelModel | None,
 ) -> DetectionReport:
-    """One live run: check ``apps`` and ``wcp``, register the monitors,
-    the applications and the first token's injector (this order fixes
-    the schedule), run, and report ``cuts(winner)`` — the cut and full
-    cut — if a monitor detected."""
+    """One live run: check ``apps`` (dense pids, the detector's mode)
+    and ``wcp``, register the monitors, the applications and the first
+    token's injector (this order fixes the schedule), run, and report
+    ``cuts(winner)`` — the cut and full cut — if a monitor detected."""
     if not apps:
         raise ConfigurationError("need at least one application process")
     pids = sorted(app.pid for app in apps)
     if pids != list(range(len(apps))):
         raise ConfigurationError(f"application pids must be 0..N-1, got {pids}")
+    mode = _MODES[detector]
+    wrong = [f"{app.name} ({app.mode})" for app in apps if app.mode != mode]
+    if wrong:
+        raise ConfigurationError(
+            f"run_live_{detector} needs applications built in mode "
+            f"{mode!r}; got {', '.join(wrong)}"
+        )
     wcp.check_against(len(apps))
     kernel = Kernel(channel_model=channel_model, seed=seed)
     for actor in (

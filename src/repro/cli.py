@@ -332,9 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "that error, degrade or violate an invariant")
     swp.add_argument("--workers", type=int, default=1,
                      help="worker processes (default 1 = run inline)")
-    swp.add_argument("--cache-dir", type=pathlib.Path, default=None,
-                     help="workload cache directory (default: "
-                          "$REPRO_CACHE_DIR or .repro-cache/workloads)")
     swp.add_argument("--out", type=pathlib.Path, default=None, metavar="FILE",
                      help="write the aggregate repro-bench/1 JSON to FILE")
     swp.add_argument("--quiet", action="store_true",
@@ -352,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--wall-tolerance", type=float, default=None,
                      help="max allowed fresh/baseline wall-median ratio "
                           "(default 5.0)")
-    chk.add_argument("--cache-dir", type=pathlib.Path, default=None,
-                     help="workload cache directory")
     chk.add_argument("--summary-out", type=pathlib.Path, default=None,
                      metavar="FILE",
                      help="append a markdown diff summary to FILE "
@@ -1010,17 +1005,11 @@ def _sweep_matrix_from_args(args: argparse.Namespace):
         raise SystemExit(f"error: {exc}")
 
 
-def _cache_root(args: argparse.Namespace) -> pathlib.Path:
-    from repro.sweep import default_cache_root
-
-    return args.cache_dir if args.cache_dir is not None else default_cache_root()
-
-
-def _run_sweep_or_exit(matrix, cache_root, workers: int, **extra):
+def _run_sweep_or_exit(matrix, workers: int, **extra):
     """Run a sweep; report worker failures and return (result, exit_code)."""
     from repro.sweep import run_sweep
 
-    result = run_sweep(matrix, cache_root, workers=workers, **extra)
+    result = run_sweep(matrix, workers=workers, **extra)
     for error in result.errors:
         print(
             f"error: sweep cell {error['id']} failed: {error['error']}",
@@ -1046,7 +1035,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         trace_dir = pathlib.Path("sweep-traces")
     result, code = _run_sweep_or_exit(
         matrix,
-        _cache_root(args),
         args.workers,
         trace_dir=trace_dir,
         trace_sample=args.trace_sample,
@@ -1090,7 +1078,6 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
         if args.wall_tolerance is not None
         else DEFAULT_WALL_TOLERANCE
     )
-    cache_root = _cache_root(args)
     comparisons = []
     worker_failure = False
     for path in args.baselines:
@@ -1099,7 +1086,7 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
             matrix = SweepMatrix.from_dict(baseline_doc["params"])
         except (ConfigurationError, ObservabilityError) as exc:
             raise SystemExit(f"error: {exc}")
-        result, code = _run_sweep_or_exit(matrix, cache_root, args.workers)
+        result, code = _run_sweep_or_exit(matrix, args.workers)
         if code != 0:
             worker_failure = True
             continue

@@ -10,7 +10,7 @@ token hops is ``metrics.messages_of_kind(TOKEN_KIND)``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping
 
 from repro.simulation.instrumentation import MetricsBoard
 from repro.simulation.kernel import SimulationResult
@@ -29,6 +29,7 @@ __all__ = [
     "monitor_name",
     "app_name",
     "outcome_label",
+    "fold_units",
 ]
 
 # Message kinds on monitor <-> monitor channels.
@@ -71,6 +72,28 @@ def outcome_label(detected: bool, degraded: bool) -> str:
     if degraded:
         return "degraded"
     return "not_detected"
+
+
+def fold_units(
+    units: dict[str, object],
+    board: MetricsBoard | None,
+    extras: Mapping[str, Any],
+) -> dict[str, object]:
+    """Fold a run's monitor-board totals, then its numeric ``extras``
+    (booleans as 0/1; names already in ``units`` win), into ``units``."""
+    if board is not None:
+        units["mon_msgs"] = board.total_messages(MONITOR_PREFIX)
+        units["mon_bits"] = board.total_bits(MONITOR_PREFIX)
+        units["total_work"] = board.total_work()
+        units["max_work"] = board.max_work_per_actor(MONITOR_PREFIX)
+        units["max_space_bits"] = board.max_space_per_actor(MONITOR_PREFIX)
+        units["token_hops"] = board.messages_of_kind(TOKEN_KIND)
+    for key, value in extras.items():
+        if isinstance(value, bool):
+            units.setdefault(key, int(value))
+        elif isinstance(value, (int, float)):
+            units.setdefault(key, value)
+    return units
 
 
 @dataclass(frozen=True, slots=True)

@@ -20,7 +20,7 @@ from repro.detect import (
     token_vc,
     token_vc_multi,
 )
-from repro.detect.base import MONITOR_PREFIX, TOKEN_KIND, DetectionReport
+from repro.detect.base import DetectionReport, fold_units
 from repro.detect.stack import harden, hardened_variant
 from repro.predicates.conjunctive import WeakConjunctivePredicate
 from repro.trace.computation import Computation
@@ -111,24 +111,9 @@ def paper_units(report: DetectionReport) -> dict[str, object]:
     determined by the computation, detector and seed, never by wall
     clock.  The sweep harness compares these values *exactly* against
     committed baselines; wall time is tracked separately with a
-    tolerance.  Numeric ``extras`` ride along (booleans as 0/1); metric
-    names already claimed by the board win on collision.
+    tolerance.  See :func:`~repro.detect.base.fold_units`.
     """
-    units: dict[str, object] = {"outcome": report.outcome}
-    board = report.metrics
-    if board is not None:
-        units["mon_msgs"] = board.total_messages(MONITOR_PREFIX)
-        units["mon_bits"] = board.total_bits(MONITOR_PREFIX)
-        units["total_work"] = board.total_work()
-        units["max_work"] = board.max_work_per_actor(MONITOR_PREFIX)
-        units["max_space_bits"] = board.max_space_per_actor(MONITOR_PREFIX)
-        units["token_hops"] = board.messages_of_kind(TOKEN_KIND)
-    for key, value in report.extras.items():
-        if isinstance(value, bool):
-            units.setdefault(key, int(value))
-        elif isinstance(value, (int, float)):
-            units.setdefault(key, value)
-    return units
+    return fold_units({"outcome": report.outcome}, report.metrics, report.extras)
 
 
 def run_detector(

@@ -51,6 +51,7 @@ from repro.detect.base import (
     TOKEN_KIND,
     DetectionReport,
     app_name,
+    fold_units,
     monitor_name,
     outcome_label,
 )
@@ -439,20 +440,7 @@ def service_units(report: ServiceReport) -> dict[str, object]:
     }
     for pred_id, out in report.outcomes.items():
         units[f"outcome:{pred_id}"] = out.outcome
-    board = report.metrics
-    if board is not None:
-        units["mon_msgs"] = board.total_messages(MONITOR_PREFIX)
-        units["mon_bits"] = board.total_bits(MONITOR_PREFIX)
-        units["total_work"] = board.total_work()
-        units["max_work"] = board.max_work_per_actor(MONITOR_PREFIX)
-        units["max_space_bits"] = board.max_space_per_actor(MONITOR_PREFIX)
-        units["token_hops"] = board.messages_of_kind(TOKEN_KIND)
-    for key, value in report.extras.items():
-        if isinstance(value, bool):
-            units.setdefault(key, int(value))
-        elif isinstance(value, (int, float)):
-            units.setdefault(key, value)
-    return units
+    return fold_units(units, report.metrics, report.extras)
 
 
 def service_trace_meta(

@@ -7,12 +7,10 @@ scales that out:
 * :mod:`repro.sweep.matrix` — declarative cross-products of
   (detector × workload params × seeds × fault plans) that expand to
   deterministic cell lists;
-* :mod:`repro.sweep.cache` — a content-addressed on-disk cache for
-  generated workloads, so crossover-style sweeps stop regenerating
-  identical traces;
 * :mod:`repro.sweep.runner` — multiprocessing fan-out with a streaming
   aggregator folding per-run paper units into ``repro-bench/1`` JSON
-  plus per-group median/p95 summaries;
+  plus per-group median/p95 summaries; every cell regenerates its
+  workload, a pure function of the cell's generator parameters;
 * :mod:`repro.sweep.baseline` — the regression comparator behind
   ``repro bench-check``: paper units must match a committed baseline
   exactly; wall-time medians get a multiplicative tolerance.
@@ -28,7 +26,7 @@ Quickstart::
         sends=(8,),
         seeds=(0, 1, 2),
     )
-    result = run_sweep(matrix, cache_root="/tmp/repro-cache", workers=4)
+    result = run_sweep(matrix, workers=4)
     assert result.ok
     aggregate = result.aggregate()  # repro-bench/1 JSON document
 """
@@ -42,7 +40,6 @@ from repro.sweep.baseline import (
     dump_comparisons_markdown,
     load_baseline,
 )
-from repro.sweep.cache import CACHE_SCHEMA, WorkloadCache, default_cache_root
 from repro.sweep.matrix import SweepCell, SweepMatrix, load_matrix
 from repro.sweep.runner import SweepResult, run_cell, run_sweep
 
@@ -50,9 +47,6 @@ __all__ = [
     "SweepCell",
     "SweepMatrix",
     "load_matrix",
-    "WorkloadCache",
-    "CACHE_SCHEMA",
-    "default_cache_root",
     "SweepResult",
     "run_cell",
     "run_sweep",

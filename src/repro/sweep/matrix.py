@@ -52,6 +52,10 @@ EXCLUDE_KEYS = frozenset(
     }
 )
 
+#: Axes of counts and seeds (``pred_widths`` also takes null: all pids).
+_INT_AXES = ("processes", "sends", "seeds", "pred_widths", "gossip_fanouts",
+             "n_predicates")
+
 
 def _fmt_density(density: float) -> str:
     return f"{density:g}"
@@ -336,6 +340,23 @@ class SweepMatrix:
                 axis_name,
                 _require_axis(getattr(self, axis_name), axis_name),
             )
+        # A matrix file is outside input: a flag read by truthiness or a
+        # float count would run the wrong cells instead of failing.
+        for flag in ("plant_final_cut", "self_heal", "check_invariants"):
+            value = getattr(self, flag)
+            require(
+                isinstance(value, bool),
+                f"matrix key {flag!r} must be true or false, got {value!r}",
+            )
+        for axis_name in _INT_AXES:
+            nullable = axis_name == "pred_widths"
+            for value in getattr(self, axis_name):
+                require(
+                    (isinstance(value, int) and not isinstance(value, bool))
+                    or (nullable and value is None),
+                    f"matrix axis {axis_name!r} entries must be integers"
+                    f"{' or null' if nullable else ''}, got {value!r}",
+                )
         unknown = sorted(set(self.detectors) - set(DETECTORS))
         require(
             not unknown,

@@ -34,8 +34,8 @@ from repro.obs.benchjson import structured_result
 from repro.predicates import WeakConjunctivePredicate
 from repro.detect.stack import FailureDetectorConfig
 from repro.simulation.faults import FaultPlan
-from repro.sweep.cache import WorkloadCache
 from repro.sweep.matrix import SweepCell, SweepMatrix
+from repro.trace.generators import generate
 
 __all__ = ["SweepResult", "run_cell", "run_sweep", "median", "p95"]
 
@@ -68,18 +68,17 @@ def _safe_cell_name(cell_id: str) -> str:
 
 def run_cell(
     cell: SweepCell,
-    cache_root: str | pathlib.Path,
+    *,
     trace_dir: str | pathlib.Path | None = None,
     flight_dir: str | pathlib.Path | None = None,
     sample_seeds: tuple[int, ...] = (),
 ) -> dict[str, Any]:
-    """Execute one cell and return its result record.
+    """Generate one cell's workload, run it and return its result record.
 
     The record carries the cell identity, the exact paper-unit metrics
-    (via :func:`repro.detect.runner.paper_units`), the wall time and the
-    cache outcome for this cell's workload.  Raises whatever the
-    generator or detector raises — fan-out wraps this in
-    :func:`_run_cell_safe`.
+    (via :func:`repro.detect.runner.paper_units`) and the wall time,
+    generation included.  Raises whatever the generator or detector
+    raises — fan-out wraps this in :func:`_run_cell_safe`.
 
     ``trace_dir`` + ``sample_seeds`` record a full span trace (JSONL)
     for the deterministic sample of cells whose seed is in
@@ -90,8 +89,7 @@ def run_cell(
     record (``trace_file`` / ``flight_file``).
     """
     started = time.perf_counter()
-    cache = WorkloadCache(cache_root)
-    computation = cache.get_or_generate(cell.workload_spec())
+    computation = generate(cell.workload_spec())
     service = cell.n_predicates > 1
     wcp = WeakConjunctivePredicate.of_flags(cell.predicate_pids(), var=cell.flag_var)
     options: dict[str, Any] = {}
@@ -144,7 +142,6 @@ def run_cell(
         if recorder is not None:
             _dump_flight(recorder, flight_dir, cell, outcome="error")
         raise
-    stats = cache.stats()
     faults = getattr(getattr(report, "sim", None), "faults", None)
     record = {
         "id": cell.cell_id,
@@ -153,8 +150,6 @@ def run_cell(
         "units": service_units(report) if service else paper_units(report),
         "liveness_bytes": faults.liveness_bytes if faults is not None else 0,
         "wall_s": time.perf_counter() - started,
-        "cache_hit": stats["hits"] > 0,
-        "cache_corrupt": stats["corrupt"] > 0,
     }
     if tracer is not None:
         from repro.obs.export import dump_jsonl
@@ -199,22 +194,10 @@ def _dump_flight(
     return recorder.dump(path, cell=cell.cell_id, **meta)
 
 
-def _run_cell_safe(
-    cell: SweepCell,
-    cache_root: str,
-    trace_dir: str | None = None,
-    flight_dir: str | None = None,
-    sample_seeds: tuple[int, ...] = (),
-) -> dict[str, Any]:
+def _run_cell_safe(cell: SweepCell, **options: Any) -> dict[str, Any]:
     """``run_cell`` that degrades exceptions into error records."""
     try:
-        return run_cell(
-            cell,
-            cache_root,
-            trace_dir=trace_dir,
-            flight_dir=flight_dir,
-            sample_seeds=sample_seeds,
-        )
+        return run_cell(cell, **options)
     except Exception as exc:  # noqa: BLE001 - worker boundary
         return {
             "id": cell.cell_id,
@@ -254,7 +237,6 @@ class SweepResult:
     errors: list[dict[str, Any]]
     workers: int
     wall_time_s: float
-    cache_stats: dict[str, int]
     fits: dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -292,15 +274,10 @@ class SweepResult:
 
     @property
     def notes(self) -> list[str]:
-        cache = self.cache_stats
-        notes = [
+        return [
             f"cells={len(self.records)} errors={len(self.errors)} "
-            f"workers={self.workers}",
-            f"workload cache: hits={cache.get('hits', 0)} "
-            f"misses={cache.get('misses', 0)} "
-            f"corrupt={cache.get('corrupt', 0)}",
+            f"workers={self.workers}"
         ]
-        return notes
 
     @property
     def ok(self) -> bool:
@@ -311,8 +288,8 @@ class SweepResult:
         """Per-cell paper units only — the worker-count-invariant view.
 
         Two sweeps of the same matrix must produce byte-identical JSON
-        dumps of this view regardless of ``workers``; wall times and
-        cache hit patterns are deliberately excluded.
+        dumps of this view regardless of ``workers``; wall times are
+        deliberately excluded.
         """
         return {record["id"]: dict(record["units"]) for record in self.records}
 
@@ -330,7 +307,6 @@ class SweepResult:
         )
         doc["sweep"] = {
             "workers": self.workers,
-            "cache": dict(self.cache_stats),
             "cells": [
                 {
                     "id": record["id"],
@@ -349,28 +325,6 @@ class SweepResult:
         return doc
 
 
-def _fold(
-    record: Mapping[str, Any],
-    records: list[dict[str, Any]],
-    errors: list[dict[str, Any]],
-    cache_stats: dict[str, int],
-    on_result: Callable[[Mapping[str, Any]], None] | None,
-) -> None:
-    entry = dict(record)
-    if "error" in entry:
-        errors.append(entry)
-    else:
-        records.append(entry)
-        if entry.pop("cache_hit", False):
-            cache_stats["hits"] += 1
-        else:
-            cache_stats["misses"] += 1
-        if entry.pop("cache_corrupt", False):
-            cache_stats["corrupt"] += 1
-    if on_result is not None:
-        on_result(entry)
-
-
 def _pool_context() -> multiprocessing.context.BaseContext:
     # fork keeps worker start cheap and inherits in-process detector
     # registrations; fall back to the platform default elsewhere.
@@ -381,7 +335,7 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 
 def run_sweep(
     matrix: SweepMatrix,
-    cache_root: str | pathlib.Path,
+    *,
     workers: int = 1,
     on_result: Callable[[Mapping[str, Any]], None] | None = None,
     trace_dir: str | pathlib.Path | None = None,
@@ -411,23 +365,26 @@ def run_sweep(
     cells = matrix.cells()
     records: list[dict[str, Any]] = []
     errors: list[dict[str, Any]] = []
-    cache_stats = {"hits": 0, "misses": 0, "corrupt": 0}
     started = time.perf_counter()
     task = partial(
         _run_cell_safe,
-        cache_root=str(cache_root),
         trace_dir=None if trace_dir is None else str(trace_dir),
         flight_dir=None if flight_dir is None else str(flight_dir),
         sample_seeds=sample_seeds,
     )
+
+    def fold(record: dict[str, Any]) -> None:
+        (errors if "error" in record else records).append(record)
+        if on_result is not None:
+            on_result(record)
+
     if workers == 1:
         for cell in cells:
-            _fold(task(cell), records, errors, cache_stats, on_result)
+            fold(task(cell))
     else:
-        ctx = _pool_context()
-        with ctx.Pool(processes=workers) as pool:
+        with _pool_context().Pool(processes=workers) as pool:
             for record in pool.imap_unordered(task, cells, chunksize=1):
-                _fold(record, records, errors, cache_stats, on_result)
+                fold(record)
     records.sort(key=lambda record: record["id"])
     errors.sort(key=lambda record: record["id"])
     return SweepResult(
@@ -436,5 +393,4 @@ def run_sweep(
         errors=errors,
         workers=workers,
         wall_time_s=time.perf_counter() - started,
-        cache_stats=cache_stats,
     )

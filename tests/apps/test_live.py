@@ -5,6 +5,7 @@ import pytest
 from repro.apps import (
     build_mutex_system,
     build_ring_system,
+    mutex_wcp,
     run_live_direct_dep,
     run_live_token_vc,
 )
@@ -56,3 +57,31 @@ class TestLaunchChecks:
         wcp = WeakConjunctivePredicate({0: var_true("cs")})
         with pytest.raises(ConfigurationError, match="at least one"):
             RUNNERS[mode]([], wcp)
+
+    def test_vc_apps_rejected_by_the_dd_runner(self):
+        """§4 monitors wait for dd snapshots that vc apps never send: the
+        run deadlocked (``mon-0`` awaiting a candidate) and reported
+        ``not_detected`` although the double grant happened."""
+        wcp = mutex_wcp(1, 2)
+        apps = build_mutex_system(3, rounds=2, bug_every=1, wcp=wcp, mode="vc")
+        with pytest.raises(
+            ConfigurationError,
+            match=r"run_live_direct_dep needs applications built in mode "
+                  r"'dd'; got app-0 \(vc\), app-1 \(vc\)",
+        ):
+            run_live_direct_dep(apps, wcp)
+        assert all(app.metrics is None for app in apps)
+
+    def test_dd_apps_rejected_by_the_vc_runner(self):
+        """dd apps snapshot to every pid's monitor, but §3 runs monitors
+        for the WCP's pids only: the run crashed mid-way (``app-0 sends
+        to unknown actor 'mon-0'``)."""
+        wcp = mutex_wcp(1, 2)
+        apps = build_mutex_system(3, rounds=2, bug_every=1, wcp=wcp, mode="dd")
+        with pytest.raises(
+            ConfigurationError,
+            match=r"run_live_token_vc needs applications built in mode "
+                  r"'vc'; got app-0 \(dd\), app-1 \(dd\)",
+        ):
+            run_live_token_vc(apps, wcp)
+        assert all(app.metrics is None for app in apps)

@@ -11,7 +11,7 @@ from repro.sweep.baseline import dump_comparisons_markdown
 
 
 @pytest.fixture(scope="module")
-def aggregate(tmp_path_factory):
+def aggregate():
     matrix = SweepMatrix(
         name="base",
         detectors=("token_vc",),
@@ -21,8 +21,7 @@ def aggregate(tmp_path_factory):
         densities=(0.0,),
         plant_final_cut=True,
     )
-    cache = tmp_path_factory.mktemp("cache")
-    return run_sweep(matrix, cache, workers=1).aggregate()
+    return run_sweep(matrix, workers=1).aggregate()
 
 
 class TestCompare:

@@ -1,6 +1,7 @@
 """Tests for sweep matrices: expansion, identity, serialization."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,33 @@ class TestSweepMatrix:
     def test_duplicate_axis_entries_rejected(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
             small_matrix(seeds=(1, 1))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("plant_final_cut", "no"),
+            ("self_heal", "false"),
+            ("check_invariants", "no"),
+            ("sends", [True]),
+            ("processes", [4.5]),
+            ("n_predicates", [1.5]),
+            ("seeds", [0.5]),
+            ("pred_widths", [2.0]),
+            ("gossip_fanouts", [True]),
+        ],
+    )
+    def test_mistyped_matrix_values_rejected(self, key, value):
+        """A matrix file is outside input: ``"no"`` used to plant the
+        final cut, ``[true]`` ran one send and ``[4.5]`` expanded into
+        cells that all failed with a ``TypeError`` naming no key."""
+        bad = value[0] if isinstance(value, list) else value
+        with pytest.raises(
+            ConfigurationError, match=rf"'{key}'.*got {re.escape(repr(bad))}$"
+        ):
+            SweepMatrix.from_dict(
+                {"name": "x", "detectors": ["token_vc"], "processes": [4],
+                 "sends": [4], key: value}
+            )
 
     def test_check_invariants_only_arms_online_cells(self):
         matrix = small_matrix(

@@ -41,50 +41,37 @@ class TestStatistics:
 
 
 class TestRunCell:
-    def test_record_shape(self, tmp_path):
+    def test_record_shape(self):
         cell = matrix().cells()[0]
-        record = run_cell(cell, tmp_path)
+        record = run_cell(cell)
         assert record["id"] == cell.cell_id
         assert record["group"] == cell.group
         assert record["units"]["outcome"] == "detected"
         assert record["units"]["mon_msgs"] > 0
         assert record["wall_s"] > 0
-        assert record["cache_hit"] is False
 
-    def test_second_run_hits_cache(self, tmp_path):
-        cell = matrix().cells()[0]
-        run_cell(cell, tmp_path)
-        assert run_cell(cell, tmp_path)["cache_hit"] is True
-
-    def test_faulty_cell_is_deterministic(self, tmp_path):
+    def test_faulty_cell_is_deterministic(self):
         cell = matrix(
             detectors=("token_vc",), faults=("drop:token:0.3",), seeds=(5,)
         ).cells()[0]
-        first = run_cell(cell, tmp_path)
-        second = run_cell(cell, tmp_path)
+        first = run_cell(cell)
+        second = run_cell(cell)
         assert first["units"] == second["units"]
 
 
 class TestDeterminism:
-    def test_parallel_equals_serial_paper_units(self, tmp_path):
+    def test_parallel_equals_serial_paper_units(self):
         m = matrix()
-        serial = run_sweep(m, tmp_path / "c1", workers=1)
-        fanned = run_sweep(m, tmp_path / "c2", workers=3)
+        serial = run_sweep(m, workers=1)
+        fanned = run_sweep(m, workers=3)
         assert serial.ok and fanned.ok
         assert json.dumps(serial.paper_units_view(), sort_keys=True) == \
             json.dumps(fanned.paper_units_view(), sort_keys=True)
 
-    def test_shared_cache_does_not_change_units(self, tmp_path):
-        m = matrix()
-        cold = run_sweep(m, tmp_path / "shared", workers=1)
-        warm = run_sweep(m, tmp_path / "shared", workers=2)
-        assert warm.cache_stats["hits"] == len(warm.records)
-        assert cold.paper_units_view() == warm.paper_units_view()
-
 
 class TestAggregation:
-    def test_groups_fold_over_seeds(self, tmp_path):
-        result = run_sweep(matrix(), tmp_path, workers=1)
+    def test_groups_fold_over_seeds(self):
+        result = run_sweep(matrix(), workers=1)
         assert len(result.records) == 6
         rows = result.rows
         assert len(rows) == 2  # one per detector group
@@ -92,8 +79,8 @@ class TestAggregation:
         assert groups == sorted(groups)
         assert all(row[1] == 3 for row in rows)  # 3 seeds per group
 
-    def test_aggregate_document_shape(self, tmp_path):
-        result = run_sweep(matrix(), tmp_path, workers=1)
+    def test_aggregate_document_shape(self):
+        result = run_sweep(matrix(), workers=1)
         doc = result.aggregate()
         assert doc["schema"] == "repro-bench/1"
         assert doc["experiment"] == "sweep:t"
@@ -102,14 +89,14 @@ class TestAggregation:
         assert doc["sweep"]["errors"] == []
         json.dumps(doc)  # JSON-serializable end to end
 
-    def test_streaming_callback_sees_every_cell(self, tmp_path):
+    def test_streaming_callback_sees_every_cell(self):
         seen = []
-        run_sweep(matrix(), tmp_path, workers=1, on_result=seen.append)
+        run_sweep(matrix(), workers=1, on_result=seen.append)
         assert len(seen) == 6
 
-    def test_offline_detector_cells_have_extras_only(self, tmp_path):
+    def test_offline_detector_cells_have_extras_only(self):
         result = run_sweep(
-            matrix(detectors=("reference",), seeds=(0,)), tmp_path, workers=1
+            matrix(detectors=("reference",), seeds=(0,)), workers=1
         )
         assert result.ok
         units = result.records[0]["units"]
@@ -119,21 +106,21 @@ class TestAggregation:
 
 
 class TestInvariantSweeps:
-    def test_units_carry_zero_violations(self, tmp_path):
+    def test_units_carry_zero_violations(self):
         result = run_sweep(
             matrix(detectors=("token_vc",), check_invariants=True),
-            tmp_path, workers=1,
+            workers=1,
         )
         assert result.ok
         for record in result.records:
             assert record["group"].endswith("/inv")
             assert record["units"]["invariant_violations"] == 0
 
-    def test_faulty_cells_stay_violation_free(self, tmp_path):
+    def test_faulty_cells_stay_violation_free(self):
         result = run_sweep(
             matrix(detectors=("token_vc",), faults=("drop:token:0.2",),
                    check_invariants=True),
-            tmp_path, workers=1,
+            workers=1,
         )
         assert result.ok
         assert all(r["units"]["invariant_violations"] == 0
@@ -143,7 +130,7 @@ class TestInvariantSweeps:
         from repro.obs import load_jsonl
 
         result = run_sweep(
-            matrix(detectors=("token_vc",)), tmp_path / "cache", workers=1,
+            matrix(detectors=("token_vc",)), workers=1,
             trace_dir=tmp_path / "traces", trace_sample=2,
         )
         assert result.ok
@@ -157,13 +144,13 @@ class TestInvariantSweeps:
 
     def test_trace_sample_must_be_non_negative(self, tmp_path):
         with pytest.raises(ValueError, match="trace_sample"):
-            run_sweep(matrix(), tmp_path, workers=1,
+            run_sweep(matrix(), workers=1,
                       trace_dir=tmp_path, trace_sample=-1)
 
     def test_no_flight_dump_on_healthy_cells(self, tmp_path):
         flight_dir = tmp_path / "flights"
         result = run_sweep(
-            matrix(detectors=("token_vc",)), tmp_path / "cache", workers=1,
+            matrix(detectors=("token_vc",)), workers=1,
             flight_dir=flight_dir,
         )
         assert result.ok
@@ -178,7 +165,7 @@ class TestInvariantSweeps:
         result = run_sweep(
             matrix(detectors=("token_vc",), seeds=(0,),
                    faults=("crash:mon-0:2",)),
-            tmp_path / "cache", workers=1, flight_dir=tmp_path / "flights",
+            workers=1, flight_dir=tmp_path / "flights",
         )
         assert result.ok
         [record] = result.records
@@ -198,9 +185,9 @@ class TestWorkerFailure:
         monkeypatch.setitem(detect_runner.DETECTORS, "crashy", detect)
         return "crashy"
 
-    def test_inline_worker_error_is_captured(self, tmp_path, crashy):
+    def test_inline_worker_error_is_captured(self, crashy):
         result = run_sweep(
-            matrix(detectors=(crashy,), seeds=(0,)), tmp_path, workers=1
+            matrix(detectors=(crashy,), seeds=(0,)), workers=1
         )
         assert not result.ok
         assert result.records == []
@@ -208,10 +195,9 @@ class TestWorkerFailure:
         assert "DetectionError: injected crash" in error["error"]
         assert "traceback" in error
 
-    def test_forked_worker_error_is_captured(self, tmp_path, crashy):
+    def test_forked_worker_error_is_captured(self, crashy):
         result = run_sweep(
             matrix(detectors=(crashy, "token_vc"), seeds=(0,)),
-            tmp_path,
             workers=2,
         )
         assert not result.ok
@@ -221,6 +207,6 @@ class TestWorkerFailure:
             "crashy/"
         )
 
-    def test_workers_must_be_positive(self, tmp_path):
+    def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            run_sweep(matrix(), tmp_path, workers=0)
+            run_sweep(matrix(), workers=0)

@@ -504,20 +504,24 @@ class TestSweepCommand:
         "--plant-final-cut",
     ]
 
-    def test_runs_and_prints_group_table(self, tmp_path, capsys):
-        code = main(self.ARGS + ["--cache-dir", str(tmp_path / "c")])
+    def test_runs_and_prints_group_table(self, capsys):
+        code = main(self.ARGS)
         out = capsys.readouterr().out
         assert code == 0
         assert "sweep:adhoc" in out
         assert "token_vc/n4/m6" in out
-        assert "workload cache" in out
+        assert "note: cells=2 errors=0 workers=1" in out
+
+    def test_leaves_the_working_directory_empty(self, tmp_path, monkeypatch):
+        """Every cell regenerates its workload in memory: a sweep writes
+        nothing unless asked to (``--out``, ``--trace-dir``, ...)."""
+        monkeypatch.chdir(tmp_path)
+        assert main(self.ARGS + ["--quiet"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_writes_aggregate_json(self, tmp_path, capsys):
         out_file = tmp_path / "agg.json"
-        code = main(
-            self.ARGS
-            + ["--cache-dir", str(tmp_path / "c"), "--out", str(out_file)]
-        )
+        code = main(self.ARGS + ["--out", str(out_file)])
         assert code == 0
         doc = json.loads(out_file.read_text())
         assert doc["schema"] == "repro-bench/1"
@@ -529,10 +533,7 @@ class TestSweepCommand:
             "name": "filed", "detectors": ["token_vc"],
             "processes": [4], "sends": [4],
         }))
-        code = main([
-            "sweep", "--matrix", str(matrix),
-            "--cache-dir", str(tmp_path / "c"),
-        ])
+        code = main(["sweep", "--matrix", str(matrix)])
         assert code == 0
         assert "sweep:filed" in capsys.readouterr().out
 
@@ -540,7 +541,6 @@ class TestSweepCommand:
         out_file = tmp_path / "agg.json"
         code = main(
             self.ARGS[:-3] + ["--seeds", "0..3", "--densities", "0",
-                              "--cache-dir", str(tmp_path / "c"),
                               "--out", str(out_file), "--quiet"]
         )
         assert code == 0
@@ -554,7 +554,7 @@ class TestSweepCommand:
     def test_check_invariants_and_trace_sample(self, tmp_path, capsys):
         out_file = tmp_path / "agg.json"
         code = main(self.ARGS + [
-            "--cache-dir", str(tmp_path / "c"), "--check-invariants",
+            "--check-invariants",
             "--trace-sample", "1", "--trace-dir", str(tmp_path / "traces"),
             "--flight-dir", str(tmp_path / "flights"),
             "--out", str(out_file),
@@ -568,17 +568,16 @@ class TestSweepCommand:
             assert cell["units"]["invariant_violations"] == 0
         assert len(list((tmp_path / "traces").glob("*.jsonl"))) == 1
 
-    def test_negative_trace_sample_rejected(self, tmp_path):
+    def test_negative_trace_sample_rejected(self):
         with pytest.raises(SystemExit, match="trace-sample"):
-            main(self.ARGS + ["--cache-dir", str(tmp_path / "c"),
-                              "--trace-sample", "-1"])
+            main(self.ARGS + ["--trace-sample", "-1"])
 
     def test_unknown_detector_rejected(self):
         with pytest.raises(SystemExit, match="unknown detector"):
             main(["sweep", "--detectors", "nope"])
 
     def test_crashing_worker_propagates_nonzero_exit(
-        self, tmp_path, capsys, monkeypatch
+        self, capsys, monkeypatch
     ):
         import repro.detect.runner as detect_runner
         from repro.common.errors import DetectionError
@@ -589,8 +588,7 @@ class TestSweepCommand:
         monkeypatch.setitem(detect_runner.DETECTORS, "crashy", crashy)
         code = main([
             "sweep", "--detectors", "crashy,token_vc", "--processes", "4",
-            "--sends", "4", "--workers", "2",
-            "--cache-dir", str(tmp_path / "c"), "--quiet",
+            "--sends", "4", "--workers", "2", "--quiet",
         ])
         captured = capsys.readouterr()
         assert code == 3
@@ -619,12 +617,11 @@ class TestClockBackendCli:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_sweep_unknown_backend_rejected(self, tmp_path, capsys):
+    def test_sweep_unknown_backend_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([
                 "sweep", "--detectors", "token_vc", "--processes", "4",
                 "--sends", "6", "--clock-backends", "list",
-                "--cache-dir", str(tmp_path / "c"),
             ])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -654,28 +651,21 @@ class TestBenchCheckCommand:
         code = main([
             "sweep", "--detectors", "token_vc", "--processes", "4",
             "--sends", "6", "--seeds", "0..1", "--densities", "0",
-            "--plant-final-cut", "--cache-dir", str(tmp_path / "c"),
-            "--out", str(path), "--quiet",
+            "--plant-final-cut", "--out", str(path), "--quiet",
         ])
         assert code == 0
         return path
 
-    def test_passes_against_itself(self, baseline, tmp_path, capsys):
-        code = main([
-            "bench-check", str(baseline),
-            "--cache-dir", str(tmp_path / "c"),
-        ])
+    def test_passes_against_itself(self, baseline, capsys):
+        code = main(["bench-check", str(baseline)])
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_seeded_regression_fails(self, baseline, tmp_path, capsys):
+    def test_seeded_regression_fails(self, baseline, capsys):
         doc = json.loads(baseline.read_text())
         doc["sweep"]["cells"][0]["units"]["token_hops"] += 1
         baseline.write_text(json.dumps(doc))
-        code = main([
-            "bench-check", str(baseline),
-            "--cache-dir", str(tmp_path / "c"),
-        ])
+        code = main(["bench-check", str(baseline)])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out and "token_hops" in out
@@ -683,27 +673,19 @@ class TestBenchCheckCommand:
     def test_summary_out_gets_markdown(self, baseline, tmp_path, capsys):
         summary = tmp_path / "summary.md"
         code = main([
-            "bench-check", str(baseline),
-            "--cache-dir", str(tmp_path / "c"),
-            "--summary-out", str(summary),
+            "bench-check", str(baseline), "--summary-out", str(summary),
         ])
         assert code == 0
         assert "PASS" in summary.read_text()
 
-    def test_update_rewrites_baseline(self, baseline, tmp_path, capsys):
+    def test_update_rewrites_baseline(self, baseline, capsys):
         doc = json.loads(baseline.read_text())
         doc["sweep"]["cells"][0]["units"]["token_hops"] += 10
         baseline.write_text(json.dumps(doc))
-        code = main([
-            "bench-check", str(baseline),
-            "--cache-dir", str(tmp_path / "c"), "--update",
-        ])
+        code = main(["bench-check", str(baseline), "--update"])
         assert code == 0
         assert "re-baselined" in capsys.readouterr().out
-        code = main([
-            "bench-check", str(baseline),
-            "--cache-dir", str(tmp_path / "c"),
-        ])
+        code = main(["bench-check", str(baseline)])
         assert code == 0
 
     def test_non_sweep_baseline_rejected(self, tmp_path):

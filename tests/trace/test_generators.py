@@ -1,5 +1,7 @@
 """Unit tests for workload generators."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common import ConfigurationError
@@ -7,6 +9,7 @@ from repro.predicates import WeakConjunctivePredicate, brute_force_first_cut
 from repro.trace import (
     FLAG_VAR,
     WorkloadSpec,
+    dumps,
     empty_computation,
     generate,
     never_true_computation,
@@ -55,6 +58,26 @@ class TestGenerate:
         ] == [
             [(e.kind, e.msg_id, e.peer) for e in t.events] for t in b.processes
         ]
+
+    @pytest.mark.parametrize("density", [0.0, 0.3])
+    @pytest.mark.parametrize("plant", [False, True])
+    @pytest.mark.parametrize("predicate_pids", [None, (0, 2)])
+    @pytest.mark.parametrize(
+        "pattern", ["uniform", "ring", "client_server", "pairs"]
+    )
+    def test_pure_function_of_the_spec(
+        self, pattern, predicate_pids, plant, density
+    ):
+        """Sweeps regenerate every cell's workload in every worker, so
+        the whole serialized trace — times and flags included — must
+        depend on the spec alone."""
+        spec = WorkloadSpec(
+            5, 6, pattern=pattern, predicate_pids=predicate_pids,
+            predicate_density=density, plant_final_cut=plant, seed=7,
+        )
+        first = dumps(generate(spec))
+        assert dumps(generate(spec)) == first
+        assert dumps(generate(replace(spec, seed=8))) != first
 
     def test_different_seeds_differ(self):
         a = random_computation(4, 6, seed=1)

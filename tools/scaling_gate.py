@@ -5,8 +5,8 @@ Proves — on a runner that actually has the cores — that the sweep
 harness's process fan-out delivers real speedup, and that paper units
 are byte-identical no matter how many workers computed them:
 
-1. warm the workload cache (untimed), so both timed runs measure
-   detection, not trace generation;
+1. run the matrix once untimed, failing fast on any erroring cell
+   before anything is timed;
 2. run the matrix at ``--workers 1`` and at ``--workers N`` and time
    both;
 3. assert the two runs' per-cell paper units are byte-identical;
@@ -62,7 +62,6 @@ def main() -> int:
                         help="fanned worker count (default 4)")
     parser.add_argument("--min-speedup", type=float, default=2.5,
                         help="required serial/fanned wall ratio (default 2.5)")
-    parser.add_argument("--cache-dir", type=pathlib.Path, default=None)
     parser.add_argument("--summary-out", type=pathlib.Path, default=None,
                         metavar="FILE",
                         help="append a markdown summary (e.g. "
@@ -84,18 +83,12 @@ def main() -> int:
         return 2
 
     matrix = load_matrix(args.matrix)
-    if args.cache_dir is not None:
-        cache_root = args.cache_dir
-    else:
-        from repro.sweep import default_cache_root
-
-        cache_root = default_cache_root()
     print(
         f"matrix {matrix.name}: {matrix.num_cells} cells; "
         f"cpu_count={cpus}; workers 1 vs {args.workers}"
     )
 
-    warm = run_sweep(matrix, cache_root, workers=1)
+    warm = run_sweep(matrix, workers=1)
     if not warm.ok:
         for error in warm.errors:
             print(f"error: cell {error['id']}: {error['error']}",
@@ -103,10 +96,10 @@ def main() -> int:
         return 3
 
     started = time.perf_counter()
-    serial = run_sweep(matrix, cache_root, workers=1)
+    serial = run_sweep(matrix, workers=1)
     serial_s = time.perf_counter() - started
     started = time.perf_counter()
-    fanned = run_sweep(matrix, cache_root, workers=args.workers)
+    fanned = run_sweep(matrix, workers=args.workers)
     fanned_s = time.perf_counter() - started
     if not (serial.ok and fanned.ok):
         return 3
